@@ -31,23 +31,6 @@ use sp_bench::{
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-
-    // Hidden helper mode: the net bench's connection-scaling sweep forks
-    // the current binary as `conn-hold --addr A --count N` to park idle
-    // client sockets in their own process (fd limits are per-process).
-    if args.first().map(String::as_str) == Some("conn-hold") {
-        let value = |flag: &str| {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .unwrap_or_else(|| panic!("conn-hold needs {flag}"))
-        };
-        let addr = value("--addr").parse().expect("conn-hold --addr");
-        let count = value("--count").parse().expect("conn-hold --count");
-        net_bench::conn_hold(addr, count).expect("conn-hold");
-        return;
-    }
-
     let quick = args.iter().any(|a| a == "quick");
     let jitter = args.iter().any(|a| a == "jitter");
 

@@ -32,9 +32,8 @@
 //! full report must show ≥ [`CLUSTER_SCALING_FLOOR`]× aggregate
 //! throughput at 3 nodes.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -43,22 +42,18 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use social_puzzles_core::construction1::{Construction1, PuzzleResponse};
-use social_puzzles_core::metrics::ServiceMetrics;
 use sp_net::{
-    dedup::wrap_idempotent,
-    frame::{read_frame, read_frame_v2, write_frame, write_frame_v2},
-    msg::{decode_response, hello_frame, is_hello_ack, SpRequest},
-    ClientConfig, ClusterClient, Daemon, DaemonConfig, HashRing, PipelineConfig, Service,
-    ServingModel, SpClient, SpService, DEFAULT_MAX_FRAME, DEFAULT_VNODES,
+    ClientConfig, ClusterClient, Daemon, DaemonConfig, HashRing, PipelineConfig, Service, SpClient,
+    SpService, DEFAULT_VNODES,
 };
 use sp_osn::{ProviderApi, PuzzleId, ServiceProvider, Url, UserId};
 
 use crate::workload::{paper_context, PAPER_K};
 
 /// Schema tag written into (and required from) `BENCH_net.json`. v2
-/// added client-observed latency percentiles on every entry and the
-/// reactor connection-scaling sweep; v3 added the cluster scaling sweep
-/// (aggregate depth-64 `Verify` throughput at 1/2/3 sharded nodes).
+/// added client-observed latency percentiles on every entry; v3 added
+/// the cluster scaling sweep (aggregate depth-64 `Verify` throughput at
+/// 1/2/3 sharded nodes).
 pub const NET_BENCH_SCHEMA: &str = "sp-bench/net/v3";
 
 /// Aggregate 3-node throughput must reach this multiple of the 1-node
@@ -87,11 +82,6 @@ pub struct NetBenchConfig {
     pub min_time: Duration,
     /// Minimum completed requests per measurement.
     pub min_ops: u64,
-    /// Idle-connection counts for the reactor connection-scaling sweep
-    /// (empty disables the sweep).
-    pub connections: Vec<usize>,
-    /// Pipeline depth the scaling sweep's active client runs at.
-    pub conn_depth: usize,
     /// Node counts for the cluster scaling sweep (empty disables it).
     pub cluster_nodes: Vec<usize>,
     /// Client threads driving the routed cluster closed loop.
@@ -120,8 +110,6 @@ impl Default for NetBenchConfig {
             link_delay: Duration::from_millis(1),
             min_time: Duration::from_millis(400),
             min_ops: 50,
-            connections: vec![64, 1_000, 10_000],
-            conn_depth: 64,
             cluster_nodes: vec![1, 2, 3],
             cluster_depth: 64,
             cluster_window: 4,
@@ -133,15 +121,13 @@ impl Default for NetBenchConfig {
 
 impl NetBenchConfig {
     /// Reduced sweep for CI smoke runs: two depths, short sampling
-    /// windows, connection tiers that fit in-process. Numbers are noisy
-    /// but the schema and the direction of the depth-16 speedup are
-    /// still meaningful.
+    /// windows, two cluster tiers. Numbers are noisy but the schema and
+    /// the direction of the depth-16 speedup are still meaningful.
     pub fn quick() -> Self {
         Self {
             depths: vec![1, 16],
             min_time: Duration::from_millis(60),
             min_ops: 10,
-            connections: vec![64, 256],
             cluster_nodes: vec![1, 3],
             cluster_puzzles: 12,
             quick: true,
@@ -160,23 +146,6 @@ pub struct NetBenchEntry {
     /// Requests in flight (always 1 for `"v1"`).
     pub depth: usize,
     /// Completed requests per second, over one socket.
-    pub ops_per_s: f64,
-    /// Median client-observed latency, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile client-observed latency, milliseconds.
-    pub p99_ms: f64,
-}
-
-/// One tier of the reactor connection-scaling sweep: `Verify`
-/// throughput and latency through the delay link while the daemon
-/// sustains `connections` parked idle sockets.
-#[derive(Clone, Debug)]
-pub struct ConnScaleEntry {
-    /// Idle connections held open on the daemon for the whole tier.
-    pub connections: usize,
-    /// Pipeline depth of the active (measured) client.
-    pub depth: usize,
-    /// Completed `Verify` requests per second.
     pub ops_per_s: f64,
     /// Median client-observed latency, milliseconds.
     pub p50_ms: f64,
@@ -214,8 +183,6 @@ pub struct NetBenchReport {
     pub link_delay_ms: f64,
     /// All measurements, grouped by operation then depth.
     pub entries: Vec<NetBenchEntry>,
-    /// The reactor connection-scaling tiers, in sweep order.
-    pub conn_scale: Vec<ConnScaleEntry>,
     /// The cluster scaling tiers, in sweep order.
     pub cluster: Vec<ClusterScaleEntry>,
     /// Per-node pipelined window the cluster sweep ran with.
@@ -342,15 +309,8 @@ impl Rig {
     }
 
     fn boot(cfg: &NetBenchConfig) -> Self {
-        Self::boot_with(cfg, DaemonConfig::default())
-    }
-
-    /// `daemon_cfg` lets the connection-scaling sweep swap in the
-    /// reactor serving model, a wider connection budget, and a metrics
-    /// registry; workers and queue depth are still forced from `cfg`.
-    fn boot_with(cfg: &NetBenchConfig, daemon_cfg: DaemonConfig) -> Self {
         let service = SpService::new(ServiceProvider::new(), Construction1::new());
-        let max_depth = cfg.depths.iter().copied().max().unwrap_or(1).max(cfg.conn_depth);
+        let max_depth = cfg.depths.iter().copied().max().unwrap_or(1);
         let daemon = Daemon::spawn(
             "127.0.0.1:0",
             Arc::new(service),
@@ -359,7 +319,7 @@ impl Rig {
                 // Headroom over the deepest pipeline so overload retries
                 // don't pollute the measurement.
                 queue_depth: (max_depth * 2).max(64),
-                ..daemon_cfg
+                ..DaemonConfig::default()
             },
         )
         .expect("bind ephemeral port");
@@ -447,218 +407,6 @@ fn throughput(
         p50_ms: pct(50.0),
         p99_ms: pct(99.0),
     }
-}
-
-/// Idle sockets parked on the daemon for one connection-scaling tier:
-/// held in-process while they fit comfortably under the per-process fd
-/// budget (the daemon's accepted ends already live here), otherwise
-/// parked in a forked `conn-hold` child re-execing the current binary —
-/// fd limits are per-process, and both `spuzzle` and the `figures`
-/// binary answer the `conn-hold` subcommand.
-const IN_PROCESS_HOLD_MAX: usize = 4096;
-
-enum ConnHerd {
-    InProcess(Vec<TcpStream>),
-    Child(std::process::Child),
-}
-
-impl ConnHerd {
-    fn park(addr: SocketAddr, count: usize) -> Self {
-        if count <= IN_PROCESS_HOLD_MAX {
-            let held = (0..count)
-                .map(|i| {
-                    TcpStream::connect(addr)
-                        .unwrap_or_else(|e| panic!("idle connection {i}/{count}: {e}"))
-                })
-                .collect();
-            return ConnHerd::InProcess(held);
-        }
-        let exe = std::env::current_exe().expect("resolving the current binary");
-        let mut child = Command::new(exe)
-            .args(["conn-hold", "--addr", &addr.to_string(), "--count", &count.to_string()])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("forking conn-hold (the hosting binary must answer that subcommand)");
-        let mut line = String::new();
-        BufReader::new(child.stdout.take().expect("child stdout"))
-            .read_line(&mut line)
-            .expect("conn-hold readiness line");
-        assert_eq!(line.trim(), format!("held {count}"), "conn-hold child never came up");
-        ConnHerd::Child(child)
-    }
-
-    fn release(self) {
-        match self {
-            ConnHerd::InProcess(held) => drop(held),
-            ConnHerd::Child(mut c) => {
-                drop(c.stdin.take()); // EOF tells the child to let go
-                let _ = c.wait();
-            }
-        }
-    }
-}
-
-/// `conn-hold` helper body for hosting binaries: parks `count` idle
-/// sockets on `addr`, prints `held N` (the parent's readiness signal),
-/// and blocks until stdin reaches EOF — which also fires if the parent
-/// dies, so the child never outlives its bench.
-pub fn conn_hold(addr: SocketAddr, count: usize) -> Result<(), String> {
-    let mut held = Vec::with_capacity(count);
-    for i in 0..count {
-        held.push(
-            TcpStream::connect(addr)
-                .map_err(|e| format!("connection {i}/{count} to {addr}: {e}"))?,
-        );
-    }
-    println!("held {}", held.len());
-    let mut sink = Vec::new();
-    let _ = std::io::stdin().read_to_end(&mut sink);
-    drop(held);
-    Ok(())
-}
-
-/// Closed-loop raw-frame load driver for the connection-scaling sweep:
-/// one writer thread keeps `depth` idempotency-wrapped `Verify` frames
-/// outstanding on a single v2 connection while one reader thread drains
-/// completions and stamps per-request latency. Two threads total — the
-/// full [`PipelinedConnection`] client parks one blocked thread per
-/// slot, and on a small box those wakeups throttle the generator before
-/// the daemon does; this driver measures the *server's* ceiling.
-fn raw_v2_verify(
-    addr: SocketAddr,
-    depth: usize,
-    min_time: Duration,
-    min_ops: u64,
-    request: &[u8],
-) -> Measure {
-    let mut stream = TcpStream::connect(addr).expect("raw driver connect");
-    stream.set_nodelay(true).expect("nodelay");
-    write_frame(&mut stream, &hello_frame(), DEFAULT_MAX_FRAME).expect("hello");
-    let ack = read_frame(&mut stream, DEFAULT_MAX_FRAME).expect("hello ack").expect("ack frame");
-    assert!(
-        decode_response(&ack).map(is_hello_ack).unwrap_or(false),
-        "daemon did not negotiate v2"
-    );
-
-    let mut reader = stream.try_clone().expect("clone raw stream");
-    let sent_at = Mutex::new(std::collections::HashMap::<u64, Instant>::new());
-    let inflight = Mutex::new(0usize);
-    let slot_free = std::sync::Condvar::new();
-    let writer_done = AtomicBool::new(false);
-    let start = Instant::now();
-    let mut elapsed = 0.0;
-    let lat = std::thread::scope(|s| {
-        let drain = s.spawn(|| {
-            let mut lat = Vec::new();
-            loop {
-                // EOF / reset is the writer's shutdown signal once it has
-                // drained the pipeline; mid-measurement it is a failure.
-                let frame = match read_frame_v2(&mut reader, DEFAULT_MAX_FRAME) {
-                    Ok(Some((corr, frame))) => {
-                        let t0 =
-                            sent_at.lock().expect("sent map").remove(&corr).expect("known corr");
-                        lat.push(t0.elapsed());
-                        frame
-                    }
-                    end => {
-                        assert!(
-                            writer_done.load(Ordering::Acquire),
-                            "daemon closed mid-measurement: {end:?}"
-                        );
-                        return lat;
-                    }
-                };
-                decode_response(&frame).expect("verify succeeds");
-                *inflight.lock().expect("inflight") -= 1;
-                slot_free.notify_one();
-            }
-        });
-        for corr in 0u64.. {
-            let guard = inflight.lock().expect("inflight");
-            let mut guard = slot_free.wait_while(guard, |n| *n >= depth).expect("inflight wait");
-            if start.elapsed() >= min_time && corr >= min_ops {
-                drop(guard);
-                break;
-            }
-            *guard += 1;
-            drop(guard);
-            sent_at.lock().expect("sent map").insert(corr, Instant::now());
-            let payload = wrap_idempotent(corr, request);
-            write_frame_v2(&mut stream, corr, &payload, DEFAULT_MAX_FRAME).expect("raw write");
-        }
-        // Let every outstanding response land (they all count), stop the
-        // clock, then close the socket to unblock the reader.
-        let guard = inflight.lock().expect("inflight");
-        let _drained = slot_free.wait_while(guard, |n| *n > 0).expect("drain wait");
-        elapsed = start.elapsed().as_secs_f64();
-        writer_done.store(true, Ordering::Release);
-        let _ = stream.shutdown(Shutdown::Both);
-        drain.join().expect("raw reader thread")
-    });
-
-    let done = lat.len() as f64;
-    let mut lat = lat;
-    lat.sort_unstable();
-    let pct = |p: f64| match lat.len() {
-        0 => 0.0,
-        n => lat[((n - 1) as f64 * p / 100.0).round() as usize].as_secs_f64() * 1e3,
-    };
-    Measure { ops_per_s: done / elapsed.max(1e-9), p50_ms: pct(50.0), p99_ms: pct(99.0) }
-}
-
-/// The connection-scaling sweep: for each C a fresh **reactor** daemon
-/// sustains C parked idle connections while [`raw_v2_verify`] hammers
-/// depth-`conn_depth` `Verify` traffic through the delay link. The idle
-/// ends dial the daemon directly — they pay no toll and hold no link
-/// threads; only the measured traffic crosses the link.
-fn conn_scale_sweep(cfg: &NetBenchConfig) -> Vec<ConnScaleEntry> {
-    let mut entries = Vec::new();
-    for &connections in &cfg.connections {
-        let metrics = ServiceMetrics::new();
-        let rig = Rig::boot_with(
-            cfg,
-            DaemonConfig {
-                serving_model: ServingModel::Reactor,
-                max_connections: connections + 64,
-                idle_timeout: Duration::from_secs(300),
-                metrics: metrics.clone(),
-                ..DaemonConfig::default()
-            },
-        );
-        let herd = ConnHerd::park(rig.daemon.addr(), connections);
-        // The kernel backlog completes handshakes before the reactor
-        // owns them; wait until the daemon actually holds all C.
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            let accepted = metrics.server("net.server").accepted as usize;
-            if accepted >= connections {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "daemon accepted only {accepted} of {connections} idle connections"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-
-        let depth = cfg.conn_depth.max(1);
-        let request =
-            SpRequest::Verify { user: 7, puzzle: rig.puzzle.raw(), response: rig.response.clone() }
-                .encode();
-        let m = raw_v2_verify(rig.addr(), depth, cfg.min_time, cfg.min_ops, &request);
-        entries.push(ConnScaleEntry {
-            connections,
-            depth,
-            ops_per_s: m.ops_per_s,
-            p50_ms: m.p50_ms,
-            p99_ms: m.p99_ms,
-        });
-        herd.release();
-        drop(rig.link);
-        rig.daemon.shutdown();
-    }
-    entries
 }
 
 /// One cluster-sweep member: daemon, its delay link, and the service
@@ -786,14 +534,12 @@ pub fn run(cfg: &NetBenchConfig) -> NetBenchReport {
     drop(rig.link);
     rig.daemon.shutdown();
 
-    let conn_scale = conn_scale_sweep(cfg);
     let cluster = cluster_sweep(cfg);
     NetBenchReport {
         quick: cfg.quick,
         compute_threads: cfg.compute_threads.max(1),
         link_delay_ms,
         entries,
-        conn_scale,
         cluster,
         cluster_window: cfg.cluster_window.max(1),
     }
@@ -865,21 +611,6 @@ pub fn to_json(report: &NetBenchReport) -> String {
         ));
     }
     out.push_str("  ],\n");
-    out.push_str("  \"conn_scale\": {\n");
-    out.push_str("    \"serving_model\": \"reactor\",\n");
-    out.push_str("    \"entries\": [\n");
-    for (i, e) in report.conn_scale.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"connections\": {}, \"depth\": {}, \"ops_per_s\": {}, \"p50_ms\": {}, \"p99_ms\": {}}}{}\n",
-            e.connections,
-            e.depth,
-            num(e.ops_per_s),
-            num(e.p50_ms),
-            num(e.p99_ms),
-            if i + 1 == report.conn_scale.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("    ]\n  },\n");
     out.push_str("  \"cluster\": {\n");
     out.push_str("    \"workers_per_node\": 1,\n");
     out.push_str(&format!("    \"window_per_node\": {},\n", report.cluster_window));
@@ -925,21 +656,6 @@ pub fn render(report: &NetBenchReport) -> String {
             report.speedup_vs_v1(e)
         ));
     }
-    if !report.conn_scale.is_empty() {
-        out.push_str(
-            "\nreactor connection scaling: depth-64 verify while C idle sockets sit open\n",
-        );
-        out.push_str(&format!(
-            "{:<12} {:>6} {:>12} {:>9} {:>9}\n",
-            "connections", "depth", "req/s", "p50 ms", "p99 ms"
-        ));
-        for e in &report.conn_scale {
-            out.push_str(&format!(
-                "{:<12} {:>6} {:>12.1} {:>9.2} {:>9.2}\n",
-                e.connections, e.depth, e.ops_per_s, e.p50_ms, e.p99_ms
-            ));
-        }
-    }
     if !report.cluster.is_empty() {
         out.push_str(&format!(
             "\ncluster scaling: aggregate verify through a routed client, window {} per node \
@@ -967,8 +683,8 @@ pub fn render(report: &NetBenchReport) -> String {
 
 /// Validates a `BENCH_net.json` document: syntactically well-formed
 /// JSON, the right schema tag, both transports present, at least one
-/// entry per RPC with all fields (latency percentiles included), the
-/// reactor connection-scaling section, and the cluster scaling section.
+/// entry per RPC with all fields (latency percentiles included), and the
+/// cluster scaling section.
 /// Full (non-quick) reports must additionally show a 3-node tier
 /// reaching [`CLUSTER_SCALING_FLOOR`] over the 1-node tier. Returns a
 /// description of the first problem.
@@ -990,9 +706,6 @@ pub fn validate_json(doc: &str) -> Result<(), String> {
             return Err(format!("no {mode} entries — both transports must be measured"));
         }
     }
-    if !doc.contains("\"conn_scale\":") || !doc.contains("\"serving_model\": \"reactor\"") {
-        return Err("missing the reactor conn_scale sweep".into());
-    }
     for field in [
         "\"compute_threads\":",
         "\"link_delay_ms\":",
@@ -1001,7 +714,6 @@ pub fn validate_json(doc: &str) -> Result<(), String> {
         "\"p50_ms\":",
         "\"p99_ms\":",
         "\"speedup_vs_v1\":",
-        "\"connections\":",
     ] {
         if !doc.contains(field) {
             return Err(format!("missing the {field} field"));
@@ -1048,8 +760,6 @@ mod tests {
             link_delay: Duration::ZERO,
             min_time: Duration::from_millis(10),
             min_ops: 2,
-            connections: vec![8],
-            conn_depth: 4,
             cluster_nodes: vec![1, 2],
             cluster_depth: 4,
             cluster_window: 2,
@@ -1069,10 +779,6 @@ mod tests {
                 assert!(e.p50_ms > 0.0 && e.p99_ms >= e.p50_ms, "bogus percentiles: {e:?}");
             }
         }
-        assert_eq!(report.conn_scale.len(), 1, "one connection tier configured");
-        let tier = &report.conn_scale[0];
-        assert_eq!((tier.connections, tier.depth), (8, 4));
-        assert!(tier.ops_per_s > 0.0 && tier.p99_ms >= tier.p50_ms, "bogus tier: {tier:?}");
         assert_eq!(report.cluster.len(), 2, "two cluster tiers configured");
         for tier in &report.cluster {
             assert!(tier.ops_per_s > 0.0, "bogus cluster tier: {tier:?}");
@@ -1085,7 +791,6 @@ mod tests {
         validate_json(&json).expect("emitted document validates");
         let table = render(&report);
         assert!(table.contains("verify") && table.contains("vs v1"));
-        assert!(table.contains("connections"), "conn-scale table missing");
     }
 
     #[test]
@@ -1128,13 +833,6 @@ mod tests {
                 entry("answer_puzzle_batch", "v1", 1, 5.0),
                 entry("answer_puzzle_batch", "v2", 16, 20.0),
             ],
-            conn_scale: vec![ConnScaleEntry {
-                connections: 10_000,
-                depth: 64,
-                ops_per_s: 12_500.0,
-                p50_ms: 4.0,
-                p99_ms: 11.0,
-            }],
             cluster: cluster_tiers(3.1),
             cluster_window: 4,
         };
@@ -1146,10 +844,6 @@ mod tests {
         assert!(
             validate_json(&json.replace("\"mode\": \"v1\"", "\"mode\": \"vX\"")).is_err(),
             "missing baseline"
-        );
-        assert!(
-            validate_json(&json.replace("\"serving_model\": \"reactor\"", "\"x\": \"y\"")).is_err(),
-            "missing reactor sweep"
         );
         assert!(
             validate_json(&json.replace("\"p99_ms\"", "\"p98_ms\"")).is_err(),
@@ -1190,13 +884,6 @@ mod tests {
                 entry("answer_puzzle_batch", "v1", 1, 5.0),
                 entry("answer_puzzle_batch", "v2", 64, 20.0),
             ],
-            conn_scale: vec![ConnScaleEntry {
-                connections: 64,
-                depth: 64,
-                ops_per_s: 9_000.0,
-                p50_ms: 4.0,
-                p99_ms: 11.0,
-            }],
             cluster: cluster_tiers(2.8),
             cluster_window: 4,
         };
@@ -1224,7 +911,6 @@ mod tests {
             compute_threads: 4,
             link_delay_ms: 1.0,
             entries: vec![entry("verify", "v1", 1, 10.0), entry("verify", "v2", 16, 35.0)],
-            conn_scale: Vec::new(),
             cluster: Vec::new(),
             cluster_window: 4,
         };

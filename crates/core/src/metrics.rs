@@ -247,17 +247,9 @@ pub struct ServerCounters {
     /// Responses written after a response to a *later* request on the
     /// same connection — pipelined out-of-order completions.
     pub out_of_order: u64,
-    /// Reactor event-loop wakeups that carried at least one readiness
-    /// event (zero under the thread-per-connection model).
-    pub epoll_wakeups: u64,
-    /// Writes that could not drain a connection's output queue in one
-    /// syscall, forcing the reactor to arm write-readiness.
-    pub partial_writes: u64,
-    /// Connections closed by the reactor's idle-timeout sweep.
+    /// Connections closed after the idle timeout with no bytes received
+    /// and no request in flight.
     pub idle_reaped: u64,
-    /// Connections refused at accept time by overload shedding (beyond
-    /// `max_connections`), before any frame was read.
-    pub accept_shed: u64,
     /// The consistent-hash ring epoch this node currently serves (gauge;
     /// 0 when the node is not clustered).
     pub ring_epoch: u64,
@@ -398,12 +390,8 @@ impl ServiceMetrics {
     }
 
     /// Records one accepted connection on the named server component.
-    pub fn server_conn_accepted(&self, component: &str, v2: bool) {
-        self.with(|st| {
-            let c = st.servers.entry(component.to_owned()).or_default();
-            c.accepted += 1;
-            c.v2_negotiated += u64::from(v2);
-        });
+    pub fn server_conn_accepted(&self, component: &str) {
+        self.with(|st| st.servers.entry(component.to_owned()).or_default().accepted += 1);
     }
 
     /// Records one connection that upgraded to the v2 framing after its
@@ -449,26 +437,9 @@ impl ServiceMetrics {
         self.with(|st| st.servers.entry(component.to_owned()).or_default().out_of_order += 1);
     }
 
-    /// Records `n` reactor wakeups that carried readiness events. The
-    /// reactor batches its count per loop iteration so the metrics lock
-    /// is taken once per wakeup, not once per event.
-    pub fn server_epoll_wakeups(&self, component: &str, n: u64) {
-        self.with(|st| st.servers.entry(component.to_owned()).or_default().epoll_wakeups += n);
-    }
-
-    /// Records one short write that left bytes queued on a connection.
-    pub fn server_partial_write(&self, component: &str) {
-        self.with(|st| st.servers.entry(component.to_owned()).or_default().partial_writes += 1);
-    }
-
-    /// Records one connection reaped by the idle-timeout sweep.
+    /// Records one connection closed by the idle timeout.
     pub fn server_idle_reaped(&self, component: &str) {
         self.with(|st| st.servers.entry(component.to_owned()).or_default().idle_reaped += 1);
-    }
-
-    /// Records one connection shed at accept time by overload control.
-    pub fn server_accept_shed(&self, component: &str) {
-        self.with(|st| st.servers.entry(component.to_owned()).or_default().accept_shed += 1);
     }
 
     /// Sets the consistent-hash ring epoch gauge for a clustered node.
@@ -602,20 +573,16 @@ impl fmt::Display for ServiceMetrics {
         for (name, c) in servers {
             writeln!(
                 f,
-                "{name} server: {} accepted ({} v2, {} busy, {} shed), in-flight {} (peak {}), \
-                 queued {} (peak {}), {} out-of-order, {} wakeups, {} partial writes, \
-                 {} idle-reaped",
+                "{name} server: {} accepted ({} v2, {} busy), in-flight {} (peak {}), \
+                 queued {} (peak {}), {} out-of-order, {} idle-reaped",
                 c.accepted,
                 c.v2_negotiated,
                 c.busy_rejections,
-                c.accept_shed,
                 c.in_flight,
                 c.in_flight_peak,
                 c.queue_depth,
                 c.queue_peak,
                 c.out_of_order,
-                c.epoll_wakeups,
-                c.partial_writes,
                 c.idle_reaped
             )?;
             if c.is_clustered() {
@@ -788,8 +755,9 @@ mod tests {
     fn server_counters_track_pool_depth_and_reordering() {
         let m = ServiceMetrics::new();
         assert_eq!(m.server("sp.server"), ServerCounters::default());
-        m.server_conn_accepted("sp.server", false);
-        m.server_conn_accepted("sp.server", true);
+        m.server_conn_accepted("sp.server");
+        m.server_conn_accepted("sp.server");
+        m.server_v2_negotiated("sp.server");
         m.server_v2_negotiated("sp.server");
         m.server_busy_rejection("sp.server");
         m.server_job_enqueued("sp.server");
@@ -797,6 +765,7 @@ mod tests {
         m.server_job_started("sp.server");
         m.server_job_finished("sp.server");
         m.server_out_of_order("sp.server");
+        m.server_idle_reaped("sp.server");
         let c = m.server("sp.server");
         assert_eq!(c.accepted, 2);
         assert_eq!(c.v2_negotiated, 2);
@@ -804,13 +773,14 @@ mod tests {
         assert_eq!((c.in_flight, c.in_flight_peak), (1, 2));
         assert_eq!((c.queue_depth, c.queue_peak), (1, 2));
         assert_eq!(c.out_of_order, 1);
+        assert_eq!(c.idle_reaped, 1);
         // Finishing below zero saturates rather than wrapping.
         m.server_job_finished("sp.server");
         m.server_job_finished("sp.server");
         assert_eq!(m.server("sp.server").in_flight, 0);
         let shown = m.to_string();
-        assert!(shown.contains("sp.server server: 2 accepted (2 v2, 1 busy, 0 shed)"));
-        assert!(shown.contains("1 out-of-order"));
+        assert!(shown.contains("sp.server server: 2 accepted (2 v2, 1 busy)"));
+        assert!(shown.contains("1 out-of-order, 1 idle-reaped"));
         assert!(!shown.contains("cluster:"), "non-clustered nodes print no cluster line");
     }
 

@@ -30,7 +30,12 @@
 //!   (retryable) instead of buffering unboundedly;
 //! * an oversized frame gets an [`ErrorCode::FrameTooLarge`] error frame
 //!   and a closed connection — the length prefix is rejected before any
-//!   allocation, so the daemon itself is never at risk.
+//!   allocation, so the daemon itself is never at risk;
+//! * a connection that sends no bytes for [`DaemonConfig::idle_timeout`]
+//!   while none of its requests is in flight is closed, so half-open
+//!   sockets (a slow-loris header fragment, a vanished peer) cannot hold
+//!   connection slots forever. The check rides the reader's read-timeout
+//!   tick, so it costs nothing while bytes flow.
 //!
 //! Graceful shutdown works by flipping an atomic flag: the accept loop
 //! notices on its next poll and joins the connection threads, whose
@@ -44,7 +49,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use social_puzzles_core::metrics::ServiceMetrics;
 use sp_par::WorkerPool;
@@ -72,21 +77,6 @@ pub trait Service: Send + Sync + 'static {
     fn handle(&self, request: &[u8]) -> Result<Vec<u8>, (ErrorCode, String)>;
 }
 
-/// How a [`Daemon`] multiplexes its connections.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServingModel {
-    /// Two OS threads per connection (reader + writer). Simple and
-    /// portable; caps realistic concurrency at a few hundred sockets.
-    #[default]
-    Threads,
-    /// One event-loop thread over nonblocking sockets and `epoll` (see
-    /// [`crate::reactor`]): per-connection state machines feed the same
-    /// shared compute pool, so 10k+ mostly-idle connections cost file
-    /// descriptors, not threads. Linux-only; other platforms fall back
-    /// to [`ServingModel::Threads`].
-    Reactor,
-}
-
 /// Tuning knobs for a [`Daemon`].
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
@@ -98,13 +88,15 @@ pub struct DaemonConfig {
     /// is taken is answered with [`ErrorCode::Busy`] (retryable).
     pub queue_depth: usize,
     /// Concurrent-connection limit; beyond it, new connections are
-    /// answered with [`ErrorCode::Busy`] and closed.
+    /// answered with [`ErrorCode::Busy`] and closed. Each open
+    /// connection costs two threads (reader + writer).
     pub max_connections: usize,
     /// Maximum request frame size (checked before allocation).
     pub max_frame: u32,
     /// Accept-loop poll interval while idle.
     pub poll_interval: Duration,
-    /// Reader socket read timeout — the shutdown-notice latency.
+    /// Reader socket read timeout — the shutdown-notice latency, and the
+    /// granularity of the idle check.
     pub read_timeout: Duration,
     /// Writer socket write timeout.
     pub write_timeout: Duration,
@@ -121,14 +113,10 @@ pub struct DaemonConfig {
     pub metrics: ServiceMetrics,
     /// Metrics component name for the serving-path counters.
     pub component: String,
-    /// Connection-multiplexing model (thread-per-connection or the
-    /// epoll reactor). Both models serve the identical protocol; the
-    /// differential trace harness runs the same traces against each.
-    pub serving_model: ServingModel,
-    /// Reactor only: connections with no traffic, queued output, or
-    /// in-flight work for this long are closed by the idle sweep (the
-    /// thread model keeps idle connections until shutdown). Generous by
-    /// default so ordinary clients never notice.
+    /// A connection that has received no bytes for this long, with none
+    /// of its requests in flight, is closed (within two read-timeout
+    /// ticks) and counted as `idle_reaped`. Generous by default so
+    /// ordinary clients never notice.
     pub idle_timeout: Duration,
 }
 
@@ -146,7 +134,6 @@ impl Default for DaemonConfig {
             buffer_pool: DEFAULT_POOL_CAP,
             metrics: ServiceMetrics::default(),
             component: "net.server".to_owned(),
-            serving_model: ServingModel::default(),
             idle_timeout: Duration::from_secs(300),
         }
     }
@@ -184,15 +171,7 @@ impl Daemon {
             stop: Arc::clone(&stop),
             cfg,
         });
-        let accept = match shared.cfg.serving_model {
-            ServingModel::Threads => std::thread::spawn(move || accept_loop(listener, &shared)),
-            #[cfg(target_os = "linux")]
-            ServingModel::Reactor => {
-                std::thread::spawn(move || crate::reactor::run(listener, &shared))
-            }
-            #[cfg(not(target_os = "linux"))]
-            ServingModel::Reactor => std::thread::spawn(move || accept_loop(listener, &shared)),
-        };
+        let accept = std::thread::spawn(move || accept_loop(listener, &shared));
         Ok(Self { addr: local, stop, accept: Some(accept) })
     }
 
@@ -221,17 +200,16 @@ impl Drop for Daemon {
     }
 }
 
-/// Everything a connection thread (or the reactor loop) needs, shared
-/// across all of them.
-pub(crate) struct Shared {
-    pub(crate) service: Arc<dyn Service>,
-    pub(crate) pool: WorkerPool,
-    pub(crate) buffers: BufferPool,
-    pub(crate) stop: Arc<AtomicBool>,
-    pub(crate) cfg: DaemonConfig,
+/// Everything a connection thread needs, shared across all of them.
+struct Shared {
+    service: Arc<dyn Service>,
+    pool: WorkerPool,
+    buffers: BufferPool,
+    stop: Arc<AtomicBool>,
+    cfg: DaemonConfig,
 }
 
-pub(crate) fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     let cfg = &shared.cfg;
     let active = Arc::new(AtomicUsize::new(0));
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
@@ -244,7 +222,7 @@ pub(crate) fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
                     continue;
                 }
                 active.fetch_add(1, Ordering::SeqCst);
-                cfg.metrics.server_conn_accepted(&cfg.component, false);
+                cfg.metrics.server_conn_accepted(&cfg.component);
                 let shared = Arc::clone(shared);
                 let active = Arc::clone(&active);
                 conns.push(std::thread::spawn(move || {
@@ -287,6 +265,15 @@ struct Reply {
     frame: PooledBuf,
 }
 
+/// A connection's answer path, shared by its reader and every job it
+/// submits. The writer exits once the last clone drops.
+struct Replies {
+    tx: Sender<Reply>,
+    /// Jobs submitted and not yet answered: a peer waiting on a slow
+    /// request is not idle.
+    in_flight: AtomicUsize,
+}
+
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let cfg = &shared.cfg;
     let _ = stream.set_nodelay(true);
@@ -294,7 +281,8 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_write_timeout(Some(cfg.write_timeout));
     let Ok(write_half) = stream.try_clone() else { return };
 
-    let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+    let (tx, reply_rx) = mpsc::channel::<Reply>();
+    let replies = Arc::new(Replies { tx, in_flight: AtomicUsize::new(0) });
     // Flipped by the writer on socket failure so the reader stops
     // accepting work for a connection that can no longer answer.
     let broken = Arc::new(AtomicBool::new(false));
@@ -308,11 +296,11 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         })
     };
 
-    reader_loop(stream, shared, &reply_tx, &broken);
+    reader_loop(stream, shared, &replies, &broken);
 
-    // Close our sender; in-flight jobs hold clones, so the writer drains
+    // Drop our handle; in-flight jobs hold clones, so the writer drains
     // their responses before exiting.
-    drop(reply_tx);
+    drop(replies);
     let _ = writer.join();
 }
 
@@ -352,7 +340,7 @@ fn writer_loop(
 fn reader_loop(
     mut stream: TcpStream,
     shared: &Arc<Shared>,
-    reply_tx: &Sender<Reply>,
+    replies: &Arc<Replies>,
     broken: &Arc<AtomicBool>,
 ) {
     let cfg = &shared.cfg;
@@ -362,7 +350,7 @@ fn reader_loop(
         if broken.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        let event = read_frame_polling(&mut stream, shared, v2);
+        let event = read_frame_polling(&mut stream, shared, v2, &replies.in_flight);
         seq += 1;
         match event {
             Ok(ReadEvent::Frame(payload)) => {
@@ -376,7 +364,7 @@ fn reader_loop(
                     };
                     let mut buf = shared.buffers.checkout();
                     buf.extend_from_slice(&frame);
-                    if reply_tx.send(Reply { corr: 0, seq, v2: false, frame: buf }).is_err() {
+                    if replies.tx.send(Reply { corr: 0, seq, v2: false, frame: buf }).is_err() {
                         break;
                     }
                     v2 = upgraded;
@@ -385,7 +373,7 @@ fn reader_loop(
                 // v1: one request in flight, answered before the next
                 // read — order-preserving by construction.
                 let (done_tx, done_rx) = mpsc::channel::<()>();
-                if !submit(shared, payload, 0, seq, false, reply_tx, Some(done_tx)) {
+                if !submit(shared, payload, 0, seq, false, replies, Some(done_tx)) {
                     continue; // Busy reply already queued
                 }
                 // The job signals completion by dropping its sender
@@ -403,9 +391,13 @@ fn reader_loop(
             }
             Ok(ReadEvent::FrameV2(corr, payload)) => {
                 debug_assert!(v2);
-                submit(shared, payload, corr, seq, true, reply_tx, None);
+                submit(shared, payload, corr, seq, true, replies, None);
             }
             Ok(ReadEvent::Eof) | Ok(ReadEvent::Stopped) => break,
+            Ok(ReadEvent::Idle) => {
+                cfg.metrics.server_idle_reaped(&cfg.component);
+                break;
+            }
             Ok(ReadEvent::TooLarge { corr, len }) => {
                 // Typed refusal, then close: the read position is inside
                 // an unread payload, so the connection cannot continue.
@@ -417,7 +409,7 @@ fn reader_loop(
                 let detail = format!("frame of {len} bytes exceeds the {}-byte cap", cfg.max_frame);
                 let mut buf = shared.buffers.checkout();
                 buf.extend_from_slice(&err_frame(ErrorCode::FrameTooLarge, &detail));
-                let _ = reply_tx.send(Reply { corr, seq, v2, frame: buf });
+                let _ = replies.tx.send(Reply { corr, seq, v2, frame: buf });
                 break;
             }
             Err(_) => break,
@@ -433,13 +425,14 @@ fn submit(
     corr: u64,
     seq: u64,
     v2: bool,
-    reply_tx: &Sender<Reply>,
+    replies: &Arc<Replies>,
     done_tx: Option<mpsc::Sender<()>>,
 ) -> bool {
     let cfg = &shared.cfg;
     cfg.metrics.server_job_enqueued(&cfg.component);
     let job_shared = Arc::clone(shared);
-    let job_reply = reply_tx.clone();
+    let job_replies = Arc::clone(replies);
+    replies.in_flight.fetch_add(1, Ordering::SeqCst);
     let accepted = shared.pool.try_execute(move || {
         let cfg = &job_shared.cfg;
         cfg.metrics.server_job_started(&cfg.component);
@@ -457,16 +450,18 @@ fn submit(
                        // request in our reader, so a post-send decrement would let
                        // `in_flight` transiently exceed every client's pipeline depth.
         cfg.metrics.server_job_finished(&cfg.component);
-        let _ = job_reply.send(Reply { corr, seq, v2, frame });
+        let _ = job_replies.tx.send(Reply { corr, seq, v2, frame });
+        job_replies.in_flight.fetch_sub(1, Ordering::SeqCst);
         drop(done_tx); // v1 reader resumes
     });
     if accepted.is_err() {
+        replies.in_flight.fetch_sub(1, Ordering::SeqCst);
         cfg.metrics.server_job_started(&cfg.component);
         cfg.metrics.server_job_finished(&cfg.component);
         cfg.metrics.server_busy_rejection(&cfg.component);
         let mut buf = shared.buffers.checkout();
         buf.extend_from_slice(&err_frame(ErrorCode::Busy, "compute queue full"));
-        let _ = reply_tx.send(Reply { corr, seq, v2, frame: buf });
+        let _ = replies.tx.send(Reply { corr, seq, v2, frame: buf });
         return false;
     }
     true
@@ -485,19 +480,22 @@ enum ReadEvent {
     Eof,
     /// The shutdown flag flipped while waiting.
     Stopped,
+    /// No bytes for the idle timeout and nothing in flight.
+    Idle,
 }
 
 fn read_frame_polling(
     stream: &mut TcpStream,
     shared: &Shared,
     v2: bool,
+    in_flight: &AtomicUsize,
 ) -> Result<ReadEvent, NetError> {
     let max_frame = shared.cfg.max_frame;
-    let stop = &*shared.stop;
     let mut header = [0u8; FRAME_V2_HEADER_LEN];
     let header_len = if v2 { FRAME_V2_HEADER_LEN } else { FRAME_HEADER_LEN };
-    match fill_polling(stream, &mut header[..header_len], stop, true)? {
+    match fill_polling(stream, &mut header[..header_len], shared, in_flight, true)? {
         Fill::Stopped => return Ok(ReadEvent::Stopped),
+        Fill::Idle => return Ok(ReadEvent::Idle),
         Fill::Eof => return Ok(ReadEvent::Eof),
         Fill::Filled => {}
     }
@@ -512,8 +510,9 @@ fn read_frame_polling(
     }
     let mut payload = shared.buffers.checkout();
     payload.resize(len as usize, 0);
-    match fill_polling(stream, &mut payload, stop, false)? {
+    match fill_polling(stream, &mut payload, shared, in_flight, false)? {
         Fill::Stopped => Ok(ReadEvent::Stopped),
+        Fill::Idle => Ok(ReadEvent::Idle),
         Fill::Eof => Err(NetError::Closed),
         Fill::Filled if v2 => Ok(ReadEvent::FrameV2(corr, payload)),
         Fill::Filled => Ok(ReadEvent::Frame(payload)),
@@ -524,27 +523,46 @@ enum Fill {
     Filled,
     Eof,
     Stopped,
+    Idle,
 }
 
-/// Fills `buf`, treating read timeouts as polls of the stop flag. EOF is
-/// only clean (`Fill::Eof`) when `eof_ok` and no byte has arrived yet.
+/// Fills `buf`, treating read timeouts as ticks that poll the stop flag
+/// and the idle clock. EOF is only clean (`Fill::Eof`) when `eof_ok` and
+/// no byte has arrived yet.
+///
+/// The idle clock starts at the first tick with no request in flight,
+/// so the hot path never reads the clock; a silent connection is closed
+/// within two ticks past `idle_timeout`.
 fn fill_polling(
     stream: &mut TcpStream,
     buf: &mut [u8],
-    stop: &AtomicBool,
+    shared: &Shared,
+    in_flight: &AtomicUsize,
     eof_ok: bool,
 ) -> Result<Fill, NetError> {
     use std::io::Read;
     let mut filled = 0;
+    let mut idle_since: Option<Instant> = None;
     while filled < buf.len() {
         match stream.read(&mut buf[filled..]) {
             Ok(0) => {
                 return if eof_ok && filled == 0 { Ok(Fill::Eof) } else { Err(NetError::Closed) }
             }
-            Ok(n) => filled += n,
+            Ok(n) => {
+                filled += n;
+                idle_since = None;
+            }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop.load(Ordering::SeqCst) {
+                if shared.stop.load(Ordering::SeqCst) {
                     return Ok(Fill::Stopped);
+                }
+                if in_flight.load(Ordering::SeqCst) > 0 {
+                    idle_since = None;
+                    continue;
+                }
+                let now = Instant::now();
+                if now.duration_since(*idle_since.get_or_insert(now)) >= shared.cfg.idle_timeout {
+                    return Ok(Fill::Idle);
                 }
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -705,6 +723,99 @@ mod tests {
         let start = std::time::Instant::now();
         daemon.shutdown();
         assert!(start.elapsed() < Duration::from_secs(2), "shutdown hung");
+    }
+
+    #[test]
+    fn reaps_idle_connections_and_spares_active_ones() {
+        let metrics = ServiceMetrics::new();
+        let cfg = DaemonConfig {
+            idle_timeout: Duration::from_millis(100),
+            metrics: metrics.clone(),
+            ..small_cfg()
+        };
+        let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Upper), cfg).unwrap();
+
+        let mut idle = TcpStream::connect(daemon.addr()).unwrap();
+        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut active = TcpStream::connect(daemon.addr()).unwrap();
+        active.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+
+        // Keep `active` chatting past the idle window; `idle` says
+        // nothing at all.
+        for _ in 0..6 {
+            std::thread::sleep(Duration::from_millis(40));
+            write_frame(&mut active, b"ping", 1024).unwrap();
+            let resp = read_frame(&mut active, 4096).unwrap().unwrap();
+            assert_eq!(decode_response(&resp).unwrap(), b"PING");
+        }
+
+        // The idle connection was closed: EOF client-side.
+        assert_eq!(read_frame(&mut idle, 4096).unwrap(), None, "idle socket reaped");
+        assert!(metrics.server("net.server").idle_reaped >= 1);
+
+        // The active one is still serviceable.
+        write_frame(&mut active, b"fin", 1024).unwrap();
+        let resp = read_frame(&mut active, 4096).unwrap().unwrap();
+        assert_eq!(decode_response(&resp).unwrap(), b"FIN");
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn slow_loris_partial_headers_are_reaped() {
+        // A half-open client that dribbles 1 byte of a length prefix and
+        // stops must not hold its connection slot: a partial header is
+        // not activity forever.
+        let metrics = ServiceMetrics::new();
+        let cfg = DaemonConfig {
+            idle_timeout: Duration::from_millis(80),
+            metrics: metrics.clone(),
+            ..small_cfg()
+        };
+        let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Upper), cfg).unwrap();
+        let mut loris = TcpStream::connect(daemon.addr()).unwrap();
+        loris.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        loris.write_all(&[0u8]).unwrap(); // first byte of a length prefix
+
+        // Normal service continues around the stalled socket.
+        let mut good = TcpStream::connect(daemon.addr()).unwrap();
+        good.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write_frame(&mut good, b"ok", 1024).unwrap();
+        let resp = read_frame(&mut good, 4096).unwrap().unwrap();
+        assert_eq!(decode_response(&resp).unwrap(), b"OK");
+
+        // ...and the loris is closed on us once the idle window passes.
+        match read_frame(&mut loris, 4096) {
+            Ok(None) | Err(_) => {}
+            Ok(Some(f)) => panic!("unexpected frame {f:?}"),
+        }
+        assert!(metrics.server("net.server").idle_reaped >= 1);
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn a_request_in_flight_holds_off_the_idle_reaper() {
+        // A v2 peer waiting on a handler slower than the idle timeout has
+        // sent nothing meanwhile, but it is not idle.
+        let metrics = ServiceMetrics::new();
+        let cfg = DaemonConfig {
+            idle_timeout: Duration::from_millis(60),
+            read_timeout: Duration::from_millis(10),
+            metrics: metrics.clone(),
+            ..small_cfg()
+        };
+        let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Sleepy), cfg).unwrap();
+        let mut conn = TcpStream::connect(daemon.addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        upgrade(&mut conn);
+
+        write_frame_v2(&mut conn, 1, &[200], 1024).unwrap(); // 200 ms
+        let (corr, resp) = read_frame_v2(&mut conn, 4096).unwrap().unwrap();
+        assert_eq!((corr, decode_response(&resp).unwrap()), (1, &[200u8][..]));
+        write_frame_v2(&mut conn, 2, &[0], 1024).unwrap();
+        let (corr, resp) = read_frame_v2(&mut conn, 4096).unwrap().unwrap();
+        assert_eq!((corr, decode_response(&resp).unwrap()), (2, &[0u8][..]));
+        assert_eq!(metrics.server("net.server").idle_reaped, 0);
+        daemon.shutdown();
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   HELLO negotiation, with round-trip codecs over `sp-wire`.
 //! * [`daemon`] — a std-only TCP daemon: per-connection reader/writer
 //!   threads around a shared bounded compute pool, out-of-order v2
-//!   response multiplexing, graceful shutdown, serving-path metrics.
+//!   response multiplexing, idle-connection reaping, graceful shutdown,
+//!   serving-path metrics.
 //! * [`client`] — a blocking connection with connect/read/write
 //!   timeouts and bounded retry-with-backoff.
 //! * [`pipeline`] — [`PipelinedConnection`]: the v2 client counterpart
@@ -83,9 +84,10 @@
 //! dh_daemon.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod cluster;
-pub mod codec;
 pub mod daemon;
 pub mod dedup;
 pub mod dh;
@@ -94,16 +96,12 @@ pub mod frame;
 pub mod msg;
 pub mod pipeline;
 pub mod pool;
-#[cfg(target_os = "linux")]
-pub(crate) mod reactor;
 pub mod ring;
 pub mod sp;
-#[cfg(target_os = "linux")]
-pub mod sys;
 
 pub use client::{ClientConfig, Connection};
 pub use cluster::{ClusterClient, ClusterClientStats, RebalanceStats, Replicator};
-pub use daemon::{Daemon, DaemonConfig, Service, ServingModel};
+pub use daemon::{Daemon, DaemonConfig, Service};
 pub use dedup::{DedupService, ReplayCache};
 pub use dh::{DhClient, DhService};
 pub use error::{ErrorCode, NetError};

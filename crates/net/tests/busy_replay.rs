@@ -1,8 +1,8 @@
-//! Regression coverage for pipelined clients against a **reactor**
-//! daemon that sheds load mid-pipeline.
+//! Regression coverage for pipelined clients against a daemon that
+//! sheds load mid-pipeline.
 //!
-//! Two contracts, both of which only hold if the reactor's busy path
-//! threads correlation ids through exactly like the thread model:
+//! Two contracts, both of which only hold if the daemon's busy path
+//! threads correlation ids through to the refusal:
 //!
 //! 1. A `Busy` rejection from a full compute queue must echo the
 //!    *offending request's* correlation id — answer the wrong id and a
@@ -24,7 +24,7 @@ use sp_net::frame::{read_frame, read_frame_v2, write_frame, write_frame_v2};
 use sp_net::msg::{decode_response, hello_frame, is_hello_ack};
 use sp_net::{
     ClientConfig, Daemon, DaemonConfig, DedupService, ErrorCode, NetError, PipelineConfig,
-    PipelinedConnection, Service, ServingModel,
+    PipelinedConnection, Service,
 };
 use sp_testkit::{PipePlan, PipelinedProxy, ResponseFault};
 
@@ -62,21 +62,17 @@ impl<S: Service> Service for Arrivals<S> {
     }
 }
 
-fn reactor_cfg() -> DaemonConfig {
-    DaemonConfig {
-        max_frame: 4096,
-        serving_model: ServingModel::Reactor,
-        ..DaemonConfig::default()
-    }
+fn base_cfg() -> DaemonConfig {
+    DaemonConfig { max_frame: 4096, ..DaemonConfig::default() }
 }
 
 #[test]
-fn reactor_busy_rejections_echo_the_offending_correlation_ids() {
+fn busy_rejections_echo_the_offending_correlation_ids() {
     // 1 worker sleeping 100 ms, 1 queue slot, 8 pipelined requests: most
     // of the burst must come back Busy. Every correlation id sent must
     // come back exactly once, and every OK response must carry the exact
     // payload sent under that id.
-    let cfg = DaemonConfig { workers: 1, queue_depth: 1, ..reactor_cfg() };
+    let cfg = DaemonConfig { workers: 1, queue_depth: 1, ..base_cfg() };
     let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(SleepyEcho), cfg).unwrap();
     let mut conn = TcpStream::connect(daemon.addr()).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -114,7 +110,7 @@ fn reactor_busy_rejections_echo_the_offending_correlation_ids() {
 }
 
 #[test]
-fn reactor_reconnect_replay_is_at_most_once_and_resends_only_unacked() {
+fn reconnect_replay_is_at_most_once_and_resends_only_unacked() {
     // Disconnect-only fault plan: ~1 response in 5 is dropped with the
     // connection severed mid-pipeline. The client must reconnect and
     // replay only what was never acknowledged; the dedup layer proves
@@ -130,7 +126,7 @@ fn reactor_reconnect_replay_is_at_most_once_and_resends_only_unacked() {
         inner: DedupService::new(CountingEcho { applied: Arc::clone(&applied) }),
         seen: Arc::clone(&seen),
     };
-    let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(service), reactor_cfg()).unwrap();
+    let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(service), base_cfg()).unwrap();
     let plan = PipePlan::with_menu(0x5EED_2014, 20, &[ResponseFault::Disconnect]);
     let proxy = PipelinedProxy::spawn(daemon.addr(), plan).unwrap();
 

@@ -137,6 +137,7 @@ mod tests {
 
     #[test]
     fn hit_after_miss_and_tagged_invalidation() {
+        let _serial = crate::stats::line_cache_test_lock();
         let p = Pairing::insecure_test_params();
         let cache = LineCache::new();
         let mut rng = StdRng::seed_from_u64(70);

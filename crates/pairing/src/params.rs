@@ -812,6 +812,7 @@ mod tests {
 
     #[test]
     fn cached_pairing_matches_uncached() {
+        let _serial = crate::stats::line_cache_test_lock();
         let p = pairing();
         let cache = LineCache::new();
         let mut rng = StdRng::seed_from_u64(56);
@@ -835,6 +836,7 @@ mod tests {
 
     #[test]
     fn cached_pair_product_matches_uncached() {
+        let _serial = crate::stats::line_cache_test_lock();
         let p = pairing();
         let cache = LineCache::new();
         let mut rng = StdRng::seed_from_u64(57);

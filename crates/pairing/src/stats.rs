@@ -84,12 +84,25 @@ pub(crate) fn record_line_cache_invalidation(n: u64) {
     LINE_CACHE_INVALIDATIONS.fetch_add(n, Ordering::Relaxed);
 }
 
+/// Serializes the lib tests that record into or assert exact deltas of
+/// the process-wide line-cache counters. The harness runs tests on
+/// parallel threads, so without it one test's lookups land inside
+/// another's before/after window.
+#[cfg(test)]
+pub(crate) fn line_cache_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the counters it guards are still
+    // consistent, so later tests proceed.
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn counters_accumulate() {
+        let _serial = line_cache_test_lock();
         let before = snapshot();
         record_cyclotomic_pow();
         record_generic_pow();

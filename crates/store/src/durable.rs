@@ -103,6 +103,11 @@ impl Engine {
         Ok(out)
     }
 
+    /// Snapshots once `snapshot_every` ops have been logged since the
+    /// last snapshot. Every committer whose add crosses the threshold
+    /// queues on the commit mutex; the first one through snapshots and
+    /// resets the counter, and the re-check sends the rest home instead
+    /// of re-serializing the whole store once each.
     fn maybe_snapshot(
         &self,
         ops: u64,
@@ -111,13 +116,22 @@ impl Engine {
         if self.since_snapshot.fetch_add(ops, Ordering::Relaxed) + ops < self.snapshot_every {
             return Ok(());
         }
-        self.snapshot_now(snapshot)
+        let _guard = self.commit_mu.lock();
+        if self.since_snapshot.load(Ordering::Relaxed) < self.snapshot_every {
+            return Ok(());
+        }
+        self.snapshot_locked(snapshot)
     }
 
-    /// Takes a snapshot now: quiesce writers via the commit mutex, make
-    /// every logged record durable, export state, write + compact.
+    /// Takes a snapshot now, whatever the counter says.
     fn snapshot_now(&self, snapshot: impl FnOnce() -> Vec<u8>) -> Result<(), StoreError> {
         let _guard = self.commit_mu.lock();
+        self.snapshot_locked(snapshot)
+    }
+
+    /// With writers quiesced by the caller's commit-mutex guard: make
+    /// every logged record durable, export state, write + compact.
+    fn snapshot_locked(&self, snapshot: impl FnOnce() -> Vec<u8>) -> Result<(), StoreError> {
         if self.wal.is_crashed() {
             return Err(StoreError::Crashed);
         }
@@ -735,6 +749,44 @@ mod tests {
         assert_eq!(sp.in_memory().audit_log().len(), 40);
         // Snapshot + tail replay, not the whole 80-record log.
         assert!(sp.durability_counters().recovery_replayed_records < 80);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn committers_crossing_one_threshold_take_one_snapshot() {
+        let dir = fresh("one-snapshot");
+        let cfg = StoreConfig { snapshot_every: 2, ..StoreConfig::default() };
+        let sp = DurableProvider::open(&dir, cfg).unwrap();
+        sp.publish_puzzle(Bytes::from_static(b"first")).unwrap();
+        assert_eq!(sp.durability_counters().snapshot_count, 0, "1 op is below the threshold");
+
+        // Hold the commit mutex while three committers log their op:
+        // the counter goes 1 -> 4, so all three cross the threshold of 2
+        // and queue on the mutex before any snapshot can run.
+        let engine = &sp.engine;
+        let guard = engine.commit_mu.lock();
+        std::thread::scope(|s| {
+            let committers: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        engine.maybe_snapshot(1, || DurableProvider::snapshot_payload(&sp.inner))
+                    })
+                })
+                .collect();
+            while engine.since_snapshot.load(Ordering::Relaxed) < 4 {
+                std::thread::yield_now();
+            }
+            drop(guard);
+            for c in committers {
+                c.join().unwrap().unwrap();
+            }
+        });
+        assert_eq!(sp.durability_counters().snapshot_count, 1, "one crossing, one snapshot");
+
+        // The unconditional entry point still snapshots on demand.
+        sp.snapshot_now().unwrap();
+        assert_eq!(sp.durability_counters().snapshot_count, 2);
+        drop(sp);
         fs::remove_dir_all(&dir).unwrap();
     }
 

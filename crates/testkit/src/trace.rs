@@ -30,8 +30,7 @@ use social_puzzles_core::context::{Context, ContextPair};
 use social_puzzles_core::trivial;
 use social_puzzles_core::SocialPuzzleError;
 use sp_net::{
-    ClientConfig, Daemon, DaemonConfig, ErrorCode, NetError, PipelineConfig, ServingModel,
-    SpClient, SpService,
+    ClientConfig, Daemon, DaemonConfig, ErrorCode, NetError, PipelineConfig, SpClient, SpService,
 };
 use sp_osn::{OsnError, ProviderApi, ServiceProvider, Url, UserId};
 
@@ -179,10 +178,6 @@ impl Deployment for C1InMemory {
 pub struct C1Socket {
     batched: bool,
     pipelined: bool,
-    /// Whether the owned daemon runs the epoll reactor serving model
-    /// (affects the deployment name, so divergence reports say which
-    /// serving loop misbehaved).
-    reactor: bool,
     c1: Construction1,
     client: SpClient,
     /// Owned when self-booted; `None` when pointed at an external
@@ -198,30 +193,9 @@ impl C1Socket {
     /// Panics if the ephemeral bind fails (setup, not protocol).
     #[must_use]
     pub fn boot(batched: bool) -> Self {
-        Self::boot_on(batched, ServingModel::Threads)
-    }
-
-    /// Like [`C1Socket::boot`], with an explicit serving model — the
-    /// reactor-backed deployment the differential harness runs against
-    /// the thread-backed one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ephemeral bind fails (setup, not protocol).
-    #[must_use]
-    pub fn boot_on(batched: bool, model: ServingModel) -> Self {
-        let service = SpService::new(ServiceProvider::new(), Construction1::new());
-        let cfg = DaemonConfig { serving_model: model, ..DaemonConfig::default() };
-        let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(service), cfg).expect("ephemeral bind");
+        let daemon = boot_sp_daemon();
         let client = SpClient::connect(daemon.addr(), ClientConfig::default());
-        Self {
-            batched,
-            pipelined: false,
-            reactor: model == ServingModel::Reactor,
-            c1: Construction1::new(),
-            client,
-            daemon: Some(daemon),
-        }
+        Self { batched, pipelined: false, c1: Construction1::new(), client, daemon: Some(daemon) }
     }
 
     /// Like [`C1Socket::boot`], but over the pipelined v2 transport: the
@@ -233,32 +207,12 @@ impl C1Socket {
     /// Panics if the ephemeral bind fails (setup, not protocol).
     #[must_use]
     pub fn boot_pipelined(batched: bool, depth: usize) -> Self {
-        Self::boot_pipelined_on(batched, depth, ServingModel::Threads)
-    }
-
-    /// Like [`C1Socket::boot_pipelined`], with an explicit serving
-    /// model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ephemeral bind fails (setup, not protocol).
-    #[must_use]
-    pub fn boot_pipelined_on(batched: bool, depth: usize, model: ServingModel) -> Self {
-        let service = SpService::new(ServiceProvider::new(), Construction1::new());
-        let cfg = DaemonConfig { serving_model: model, ..DaemonConfig::default() };
-        let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(service), cfg).expect("ephemeral bind");
+        let daemon = boot_sp_daemon();
         let client = SpClient::connect_pipelined(
             daemon.addr(),
             PipelineConfig { depth, client: ClientConfig::default() },
         );
-        Self {
-            batched,
-            pipelined: true,
-            reactor: model == ServingModel::Reactor,
-            c1: Construction1::new(),
-            client,
-            daemon: Some(daemon),
-        }
+        Self { batched, pipelined: true, c1: Construction1::new(), client, daemon: Some(daemon) }
     }
 
     /// Connects to an SP daemon (or a proxy in front of one) that
@@ -268,7 +222,6 @@ impl C1Socket {
         Self {
             batched,
             pipelined: false,
-            reactor: false,
             c1: Construction1::new(),
             client: SpClient::connect(addr, cfg),
             daemon: None,
@@ -287,7 +240,6 @@ impl C1Socket {
         Self {
             batched,
             pipelined: true,
-            reactor: false,
             c1: Construction1::new(),
             client: SpClient::connect_pipelined(addr, cfg),
             daemon: None,
@@ -300,6 +252,13 @@ impl C1Socket {
             d.shutdown();
         }
     }
+}
+
+/// A private SP daemon on an ephemeral port.
+fn boot_sp_daemon() -> Daemon {
+    let service = SpService::new(ServiceProvider::new(), Construction1::new());
+    Daemon::spawn("127.0.0.1:0", Arc::new(service), DaemonConfig::default())
+        .expect("ephemeral bind")
 }
 
 /// Maps one remote verify result onto a decision slot.
@@ -318,15 +277,11 @@ pub(crate) fn decide_remote(
 
 impl Deployment for C1Socket {
     fn name(&self) -> &'static str {
-        match (self.reactor, self.pipelined, self.batched) {
-            (false, false, false) => "c1-socket",
-            (false, false, true) => "c1-socket-batched",
-            (false, true, false) => "c1-socket-pipelined",
-            (false, true, true) => "c1-socket-pipelined-batched",
-            (true, false, false) => "c1-socket-reactor",
-            (true, false, true) => "c1-socket-reactor-batched",
-            (true, true, false) => "c1-socket-reactor-pipelined",
-            (true, true, true) => "c1-socket-reactor-pipelined-batched",
+        match (self.pipelined, self.batched) {
+            (false, false) => "c1-socket",
+            (false, true) => "c1-socket-batched",
+            (true, false) => "c1-socket-pipelined",
+            (true, true) => "c1-socket-pipelined-batched",
         }
     }
 

@@ -56,14 +56,10 @@
 //! v1-only peer for interop checks; `--data-dir PATH` on the daemons
 //! swaps the in-memory store for `sp-store`'s durable backend (WAL +
 //! snapshots under `PATH/sp` or `PATH/dh`), replaying any existing log
-//! on boot; `--serving-model reactor` swaps thread-per-connection for
-//! the epoll reactor (with `--max-connections` and `--idle-timeout-ms`
-//! tuning how many sockets it holds and when idle ones are reaped).
-//!
-//! `spuzzle conn-hold --addr A --count N` is the helper the
-//! connection-scaling tests and benches fork: it parks N idle client
-//! sockets in a separate process (fd limits are per-process) until its
-//! stdin closes.
+//! on boot; `--max-connections` caps how many sockets a daemon holds
+//! (each costs a reader and a writer thread) and `--idle-timeout-ms`
+//! sets how long a silent connection with nothing in flight keeps its
+//! slot.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -78,8 +74,7 @@ use social_puzzles::core::context::Context;
 use social_puzzles::core::protocol::SocialPuzzleApp;
 use social_puzzles::net::{
     parse_ring_spec, ClientConfig, ClusterClient, Daemon, DaemonConfig, DhClient, DhService,
-    HashRing, PipelineConfig, Replicator, Service, ServingModel, SpClient, SpService,
-    DEFAULT_VNODES,
+    HashRing, PipelineConfig, Replicator, Service, SpClient, SpService, DEFAULT_VNODES,
 };
 use social_puzzles::osn::{
     DeviceProfile, ProviderApi, ProviderBackend, ServiceProvider, StorageHost, UserId,
@@ -97,7 +92,6 @@ fn main() -> ExitCode {
         Some("solve") => cmd_solve(&args[1..]),
         Some("serve-sp") => cmd_serve(&args[1..], Role::Sp),
         Some("serve-dh") => cmd_serve(&args[1..], Role::Dh),
-        Some("conn-hold") => cmd_conn_hold(&args[1..]),
         Some("load") => cmd_load(&args[1..]),
         Some("bench-crypto") => cmd_bench_crypto(&args[1..]),
         Some("bench-net") => cmd_bench_net(&args[1..]),
@@ -110,7 +104,7 @@ fn main() -> ExitCode {
         Some("--help" | "-h" | "help") | None => {
             eprintln!(
                 "usage: spuzzle \
-                 <share|questions|solve|serve-sp|serve-dh|conn-hold|load|bench-crypto|bench-net|check-bench-net|bench-store|check-bench-store|sim|bench-sim|check-bench-sim> \
+                 <share|questions|solve|serve-sp|serve-dh|load|bench-crypto|bench-net|check-bench-net|bench-store|check-bench-store|sim|bench-sim|check-bench-sim> \
                  [options]; see --help per command"
             );
             return ExitCode::from(2);
@@ -342,13 +336,6 @@ fn cmd_serve(args: &[String], role: Role) -> Result<(), String> {
         cfg.max_frame = m.parse().map_err(|_| "--max-frame must be a number of bytes")?;
     }
     cfg.enable_v2 = !args.iter().any(|a| a == "--no-v2");
-    if let Some(model) = flag_value(args, "--serving-model") {
-        cfg.serving_model = match model {
-            "threads" => ServingModel::Threads,
-            "reactor" => ServingModel::Reactor,
-            other => return Err(format!("unknown --serving-model {other:?} (threads | reactor)")),
-        };
-    }
     if let Some(c) = flag_value(args, "--max-connections") {
         cfg.max_connections = c.parse().map_err(|_| "--max-connections must be a number")?;
     }
@@ -454,39 +441,6 @@ fn cmd_serve(args: &[String], role: Role) -> Result<(), String> {
     daemon.shutdown();
     metrics.sync_crypto();
     print!("{metrics}");
-    Ok(())
-}
-
-/// `conn-hold --addr A --count N`: opens `N` TCP connections to a
-/// daemon and holds them idle until stdin reaches EOF.
-///
-/// A test/bench helper for the connection-scaling tiers: the fd limit
-/// is per-process, so a 10k-connection soak keeps the daemon's 10k
-/// accepted sockets in one process and parks the 10k client ends here,
-/// in a child. Prints `held N` once every socket is up (the parent's
-/// readiness signal) and exits when the parent closes our stdin —
-/// which also happens automatically if the parent dies.
-fn cmd_conn_hold(args: &[String]) -> Result<(), String> {
-    use std::io::Read as _;
-    let addr: SocketAddr = flag_value(args, "--addr")
-        .ok_or("--addr <addr:port> is required")?
-        .parse()
-        .map_err(|e| format!("--addr: {e}"))?;
-    let count: usize = flag_value(args, "--count")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| "--count must be a number")?;
-    let mut held = Vec::with_capacity(count);
-    for i in 0..count {
-        let stream = std::net::TcpStream::connect(addr)
-            .map_err(|e| format!("connection {i}/{count} to {addr}: {e}"))?;
-        held.push(stream);
-    }
-    println!("held {}", held.len());
-    // Block until the parent closes the pipe (or we get EOF from a tty).
-    let mut sink = Vec::new();
-    let _ = std::io::stdin().read_to_end(&mut sink);
-    drop(held);
     Ok(())
 }
 

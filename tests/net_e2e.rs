@@ -2,9 +2,8 @@
 //! on localhost sockets, driven through the same protocol driver the
 //! in-process simulation uses.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,8 +14,8 @@ use social_puzzles::core::protocol::SocialPuzzleApp;
 use social_puzzles::net::frame::read_frame;
 use social_puzzles::net::msg::decode_response;
 use social_puzzles::net::{
-    ClientConfig, Daemon, DaemonConfig, DhClient, DhService, ErrorCode, NetError, ServingModel,
-    SpClient, SpService,
+    ClientConfig, Daemon, DaemonConfig, DhClient, DhService, ErrorCode, NetError, SpClient,
+    SpService,
 };
 use social_puzzles::osn::{DeviceProfile, ServiceProvider, StorageHost, UserId};
 
@@ -119,18 +118,17 @@ fn refresh_over_sockets_rotates_in_place() {
 }
 
 // ----------------------------------------------------------------------
-// Connection scaling and soak: the epoll reactor under idle herds,
-// half-open probes, and fd-exhaustion-scale loads
+// Idle herds and half-open probes against the connection budget
 // ----------------------------------------------------------------------
 
 /// Open file descriptors in this process — the leak detector for the
-/// scaling tiers.
+/// idle-herd tier.
 fn fd_count() -> usize {
     std::fs::read_dir("/proc/self/fd").map(|d| d.count()).unwrap_or(usize::MAX)
 }
 
 /// Runs `cycles` full share→receive cycles and asserts each recovers
-/// its object — the liveness probe for the scaling tiers.
+/// its object — the liveness probe under connection load.
 fn active_cycles(sp: &Daemon, dh: &Daemon, cycles: usize) {
     let app = remote_app(sp, dh);
     let c1 = Construction1::new();
@@ -157,16 +155,15 @@ fn active_cycles(sp: &Daemon, dh: &Daemon, cycles: usize) {
     }
 }
 
-/// One connection-scaling tier: `idle` idle sockets parked against the
-/// reactor SP daemon — in-process, or in a forked `spuzzle conn-hold`
-/// child when the count would eat this process's fd budget (the daemon
-/// side alone needs `idle` fds here) — while real share→receive cycles
-/// run through both daemons. Every fd is handed back after shutdown.
-fn connection_scaling_tier(idle: usize, in_child: bool) {
+/// 64 idle sockets parked against the SP daemon while real
+/// share→receive cycles run through both daemons. Every fd is handed
+/// back after shutdown.
+#[test]
+fn serves_active_cycles_alongside_64_idle_connections() {
+    let idle = 64;
     let baseline = fd_count();
     let metrics = ServiceMetrics::new();
     let cfg = DaemonConfig {
-        serving_model: ServingModel::Reactor,
         max_connections: idle + 64,
         idle_timeout: Duration::from_secs(300),
         metrics: metrics.clone(),
@@ -174,30 +171,15 @@ fn connection_scaling_tier(idle: usize, in_child: bool) {
     };
     let (sp, dh) = boot_pair(cfg);
 
-    let mut held: Vec<TcpStream> = Vec::new();
-    let mut child = None;
-    if in_child {
-        let mut c = Command::new(env!("CARGO_BIN_EXE_spuzzle"))
-            .args(["conn-hold", "--addr", &sp.addr().to_string(), "--count", &idle.to_string()])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("forking the conn-hold helper");
-        let mut line = String::new();
-        BufReader::new(c.stdout.take().unwrap()).read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), format!("held {idle}"), "conn-hold child never came up");
-        child = Some(c);
-    } else {
-        for i in 0..idle {
-            held.push(
-                TcpStream::connect(sp.addr())
-                    .unwrap_or_else(|e| panic!("idle connection {i}/{idle}: {e}")),
-            );
-        }
-    }
+    let held: Vec<TcpStream> = (0..idle)
+        .map(|i| {
+            TcpStream::connect(sp.addr())
+                .unwrap_or_else(|e| panic!("idle connection {i}/{idle}: {e}"))
+        })
+        .collect();
 
     // The kernel completes handshakes from the backlog before the
-    // reactor accepts, so wait for the daemon to actually own them all.
+    // daemon accepts, so wait for it to actually own them all.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let accepted = metrics.server("net.server").accepted as usize;
@@ -214,19 +196,15 @@ fn connection_scaling_tier(idle: usize, in_child: bool) {
     // Active traffic is unaffected by the parked herd.
     active_cycles(&sp, &dh, 3);
     let server = metrics.server("net.server");
-    assert_eq!(server.accept_shed, 0, "tier ran inside the connection budget: {server:?}");
+    assert_eq!(server.busy_rejections, 0, "tier ran inside the connection budget: {server:?}");
     assert_eq!(server.idle_reaped, 0, "nothing should expire under a 300s timeout: {server:?}");
 
     // Tear down client ends first, then the daemons.
-    if let Some(mut c) = child.take() {
-        drop(c.stdin.take()); // EOF tells the child to release its sockets
-        assert!(c.wait().unwrap().success(), "conn-hold child failed");
-    }
     drop(held);
     sp.shutdown();
     dh.shutdown();
 
-    // Every socket the tier opened must be returned. Other tests share
+    // Every socket the test opened must be returned. Other tests share
     // this process's fd table, so allow slack and let stragglers close.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -242,37 +220,14 @@ fn connection_scaling_tier(idle: usize, in_child: bool) {
     }
 }
 
-/// Fast tier: C = 64 idle connections plus live protocol traffic.
-#[test]
-fn reactor_serves_active_cycles_alongside_64_idle_connections() {
-    connection_scaling_tier(64, false);
-}
-
-/// C = 1k. Heavy; CI's `reactor-smoke` job runs it explicitly.
-#[test]
-#[ignore = "heavy: 1k-connection scaling tier; CI runs it via --ignored"]
-fn reactor_scales_to_1k_connections() {
-    connection_scaling_tier(1_000, false);
-}
-
-/// C = 10k. The daemon side alone holds 10k fds in this process, so the
-/// client ends live in a forked `spuzzle conn-hold` child — fd limits
-/// are per-process, and this box caps them at 20k, unraisable.
-#[test]
-#[ignore = "heavy: 10k-connection soak (forks a conn-hold child); run explicitly"]
-fn reactor_soaks_at_10k_connections() {
-    connection_scaling_tier(10_000, true);
-}
-
 /// Slow-loris half-open sockets — a fragment of a length prefix, then
 /// silence — are reaped on the idle timeout while a well-behaved client
 /// keeps cycling through the same daemon, unreaped because activity,
-/// not connection age, is what the sweep measures.
+/// not connection age, is what the idle check measures.
 #[test]
 fn slow_loris_half_open_sockets_are_reaped_while_active_traffic_flows() {
     let metrics = ServiceMetrics::new();
     let cfg = DaemonConfig {
-        serving_model: ServingModel::Reactor,
         idle_timeout: Duration::from_millis(250),
         metrics: metrics.clone(),
         ..DaemonConfig::default()
