@@ -2,28 +2,27 @@
 //!
 //! Boots a real [`sp_net::SpService`] daemon on an ephemeral port and
 //! drives the three hottest serving-path RPCs — `Verify`,
-//! `DisplayPuzzle`, and `AnswerPuzzleBatch` — through two transports:
-//! the sequential v1 client (one request in flight: the pre-pipelining
-//! baseline) and the pipelined v2 client at a sweep of depths. The
-//! workload follows the paper's §VIII parameters (50-character
-//! questions, 20-character answers, threshold `k = 1`).
+//! `DisplayPuzzle`, and `AnswerPuzzleBatch` — through the pipelined
+//! client at a sweep of depths, depth 1 (one request in flight: what
+//! `SpClient::connect` builds) being the baseline. The workload follows
+//! the paper's §VIII parameters (50-character questions, 20-character
+//! answers, threshold `k = 1`).
 //!
-//! The interesting comparison is `verify` at depth 16 against the v1
-//! baseline: with the daemon's compute pool at 4 threads, pipelining
-//! must recover both the per-request round-trip latency (head-of-line
-//! blocking) and the idle compute (one request at a time can use at
-//! most one worker).
+//! The interesting comparison is `verify` at depth 16 against depth 1:
+//! with the daemon's compute pool at 4 threads, pipelining must recover
+//! both the per-request round-trip latency (head-of-line blocking) and
+//! the idle compute (one request at a time can use at most one worker).
 //!
 //! Raw loopback has a ~20µs round trip — three orders of magnitude
 //! below the network delays the paper measures (§VIII plots tens of
-//! milliseconds of network delay per operation) — so both transports
-//! run through an in-process **delay link**: a byte-level TCP proxy
+//! milliseconds of network delay per operation) — so every depth runs
+//! through an in-process **delay link**: a byte-level TCP proxy
 //! that forwards traffic verbatim but ships every chunk
 //! [`NetBenchConfig::link_delay`] later. That is pure added latency
 //! (any amount of data may be in flight), exactly what a WAN adds and
 //! exactly what a serialized request/response client cannot hide.
 //!
-//! The v3 schema adds the **cluster scaling sweep**: the same depth-64
+//! The report also carries the **cluster scaling sweep**: the same depth-64
 //! `Verify` workload driven through a routed [`ClusterClient`] against
 //! 1, 2, and 3 sharded SP daemons behind a consistent-hash ring, each
 //! node fronted by its own delay link and reached over a small fixed
@@ -53,8 +52,9 @@ use crate::workload::{paper_context, PAPER_K};
 /// Schema tag written into (and required from) `BENCH_net.json`. v2
 /// added client-observed latency percentiles on every entry; v3 added
 /// the cluster scaling sweep (aggregate depth-64 `Verify` throughput at
-/// 1/2/3 sharded nodes).
-pub const NET_BENCH_SCHEMA: &str = "sp-bench/net/v3";
+/// 1/2/3 sharded nodes); v4 dropped the sequential-client `mode` and
+/// measures every speedup against the op's depth-1 row.
+pub const NET_BENCH_SCHEMA: &str = "sp-bench/net/v4";
 
 /// Aggregate 3-node throughput must reach this multiple of the 1-node
 /// figure in a full (non-quick) report — the scale-out floor
@@ -67,7 +67,8 @@ pub const NET_BENCH_OPS: [&str; 3] = ["verify", "display_puzzle", "answer_puzzle
 /// Sweep and sampling knobs for the serving-path comparison.
 #[derive(Clone, Debug)]
 pub struct NetBenchConfig {
-    /// Pipeline depths to sweep on the v2 transport.
+    /// Pipeline depths to sweep; 1, the baseline every speedup is
+    /// measured against, must be among them.
     pub depths: Vec<usize>,
     /// Daemon compute-pool threads (the acceptance numbers use 4).
     pub compute_threads: usize,
@@ -136,14 +137,12 @@ impl NetBenchConfig {
     }
 }
 
-/// One (operation, transport, depth) measurement.
+/// One (operation, depth) measurement.
 #[derive(Clone, Debug)]
 pub struct NetBenchEntry {
     /// RPC name (one of [`NET_BENCH_OPS`]).
     pub op: &'static str,
-    /// `"v1"` (sequential baseline) or `"v2"` (pipelined).
-    pub mode: &'static str,
-    /// Requests in flight (always 1 for `"v1"`).
+    /// Requests in flight on the one socket.
     pub depth: usize,
     /// Completed requests per second, over one socket.
     pub ops_per_s: f64,
@@ -190,14 +189,14 @@ pub struct NetBenchReport {
 }
 
 impl NetBenchReport {
-    /// The entry for one (op, mode, depth), if measured.
-    pub fn entry(&self, op: &str, mode: &str, depth: usize) -> Option<&NetBenchEntry> {
-        self.entries.iter().find(|e| e.op == op && e.mode == mode && e.depth == depth)
+    /// The entry for one (op, depth), if measured.
+    pub fn entry(&self, op: &str, depth: usize) -> Option<&NetBenchEntry> {
+        self.entries.iter().find(|e| e.op == op && e.depth == depth)
     }
 
-    /// Throughput of `entry` relative to the op's depth-1 v1 baseline.
-    pub fn speedup_vs_v1(&self, entry: &NetBenchEntry) -> f64 {
-        match self.entry(entry.op, "v1", 1) {
+    /// Throughput of `entry` relative to the op's depth-1 row.
+    pub fn speedup_vs_depth1(&self, entry: &NetBenchEntry) -> f64 {
+        match self.entry(entry.op, 1) {
             Some(base) if base.ops_per_s > 0.0 => entry.ops_per_s / base.ops_per_s,
             _ => 0.0,
         }
@@ -214,7 +213,7 @@ impl NetBenchReport {
 
 /// A byte-level TCP proxy that adds pure latency: every chunk read is
 /// written out [`DelayLink::delay`] later, with any amount of data in
-/// flight. Framing-agnostic, so v1 and v2 traffic pay the same toll.
+/// flight. Framing-agnostic: every byte pays the same toll.
 struct DelayLink {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -518,16 +517,11 @@ pub fn run(cfg: &NetBenchConfig) -> NetBenchReport {
     let batch: Vec<PuzzleResponse> = vec![rig.response.clone(); cfg.batch.max(1)];
     let mut entries = Vec::new();
 
-    // Baseline: the sequential v1 client, one request in flight.
-    {
-        let client = SpClient::connect(rig.addr(), client_cfg());
-        entries.extend(measure_ops(cfg, &rig, &client, &batch, "v1", 1));
-    }
-    // Pipelined v2 at each depth, `depth` requests in flight per socket.
+    // `depth` requests in flight per socket; depth 1 is the baseline.
     for &depth in &cfg.depths {
         let client =
             SpClient::connect_pipelined(rig.addr(), PipelineConfig { depth, client: client_cfg() });
-        entries.extend(measure_ops(cfg, &rig, &client, &batch, "v2", depth));
+        entries.extend(measure_ops(cfg, &rig, &client, &batch, depth));
     }
 
     let link_delay_ms = cfg.link_delay.as_secs_f64() * 1e3;
@@ -551,7 +545,6 @@ fn measure_ops(
     rig: &Rig,
     client: &SpClient,
     batch: &[PuzzleResponse],
-    mode: &'static str,
     depth: usize,
 ) -> Vec<NetBenchEntry> {
     let threads = depth.max(1);
@@ -568,7 +561,6 @@ fn measure_ops(
     });
     let entry = |op, m: Measure| NetBenchEntry {
         op,
-        mode,
         depth,
         ops_per_s: m.ops_per_s,
         p50_ms: m.p50_ms,
@@ -599,14 +591,13 @@ pub fn to_json(report: &NetBenchReport) -> String {
     out.push_str("  \"entries\": [\n");
     for (i, e) in report.entries.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"op\": \"{}\", \"mode\": \"{}\", \"depth\": {}, \"ops_per_s\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \"speedup_vs_v1\": {}}}{}\n",
+            "    {{\"op\": \"{}\", \"depth\": {}, \"ops_per_s\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \"speedup_vs_depth1\": {}}}{}\n",
             e.op,
-            e.mode,
             e.depth,
             num(e.ops_per_s),
             num(e.p50_ms),
             num(e.p99_ms),
-            num(report.speedup_vs_v1(e)),
+            num(report.speedup_vs_depth1(e)),
             if i + 1 == report.entries.len() { "" } else { "," },
         ));
     }
@@ -641,19 +632,18 @@ pub fn render(report: &NetBenchReport) -> String {
         report.link_delay_ms, report.compute_threads
     ));
     out.push_str(&format!(
-        "{:<20} {:>4} {:>6} {:>12} {:>9} {:>9} {:>12}\n",
-        "op", "mode", "depth", "req/s", "p50 ms", "p99 ms", "vs v1"
+        "{:<20} {:>6} {:>12} {:>9} {:>9} {:>12}\n",
+        "op", "depth", "req/s", "p50 ms", "p99 ms", "vs depth 1"
     ));
     for e in &report.entries {
         out.push_str(&format!(
-            "{:<20} {:>4} {:>6} {:>12.1} {:>9.2} {:>9.2} {:>11.2}x\n",
+            "{:<20} {:>6} {:>12.1} {:>9.2} {:>9.2} {:>11.2}x\n",
             e.op,
-            e.mode,
             e.depth,
             e.ops_per_s,
             e.p50_ms,
             e.p99_ms,
-            report.speedup_vs_v1(e)
+            report.speedup_vs_depth1(e)
         ));
     }
     if !report.cluster.is_empty() {
@@ -682,9 +672,9 @@ pub fn render(report: &NetBenchReport) -> String {
 }
 
 /// Validates a `BENCH_net.json` document: syntactically well-formed
-/// JSON, the right schema tag, both transports present, at least one
-/// entry per RPC with all fields (latency percentiles included), and the
-/// cluster scaling section.
+/// JSON, the right schema tag, a depth-1 baseline row for every RPC,
+/// all fields (latency percentiles included), and the cluster scaling
+/// section.
 /// Full (non-quick) reports must additionally show a 3-node tier
 /// reaching [`CLUSTER_SCALING_FLOOR`] over the 1-node tier. Returns a
 /// description of the first problem.
@@ -697,13 +687,8 @@ pub fn validate_json(doc: &str) -> Result<(), String> {
         return Err("missing entries array".into());
     }
     for op in NET_BENCH_OPS {
-        if !doc.contains(&format!("\"op\": \"{op}\"")) {
-            return Err(format!("no entry for RPC {op:?}"));
-        }
-    }
-    for mode in ["v1", "v2"] {
-        if !doc.contains(&format!("\"mode\": \"{mode}\"")) {
-            return Err(format!("no {mode} entries — both transports must be measured"));
+        if !doc.contains(&format!("\"op\": \"{op}\", \"depth\": 1,")) {
+            return Err(format!("no depth-1 baseline row for RPC {op:?}"));
         }
     }
     for field in [
@@ -713,7 +698,7 @@ pub fn validate_json(doc: &str) -> Result<(), String> {
         "\"ops_per_s\":",
         "\"p50_ms\":",
         "\"p99_ms\":",
-        "\"speedup_vs_v1\":",
+        "\"speedup_vs_depth1\":",
     ] {
         if !doc.contains(field) {
             return Err(format!("missing the {field} field"));
@@ -769,12 +754,11 @@ mod tests {
     }
 
     #[test]
-    fn report_covers_every_rpc_on_both_transports_and_validates() {
+    fn report_covers_every_rpc_at_every_depth_and_validates() {
         let report = run(&tiny());
         for op in NET_BENCH_OPS {
-            assert!(report.entry(op, "v1", 1).is_some(), "{op} v1 baseline missing");
             for &d in &[1usize, 4] {
-                let e = report.entry(op, "v2", d).unwrap_or_else(|| panic!("{op} v2@{d}"));
+                let e = report.entry(op, d).unwrap_or_else(|| panic!("{op}@{d}"));
                 assert!(e.ops_per_s > 0.0);
                 assert!(e.p50_ms > 0.0 && e.p99_ms >= e.p50_ms, "bogus percentiles: {e:?}");
             }
@@ -790,33 +774,33 @@ mod tests {
         let json = to_json(&report);
         validate_json(&json).expect("emitted document validates");
         let table = render(&report);
-        assert!(table.contains("verify") && table.contains("vs v1"));
+        assert!(table.contains("verify") && table.contains("vs depth 1"));
     }
 
     #[test]
-    fn pipelining_beats_the_serial_baseline_over_a_delayed_link() {
-        // With a 1ms-each-way link the serial client is RTT-bound at
+    fn pipelining_beats_depth_one_over_a_delayed_link() {
+        // With a 1ms-each-way link one request in flight is RTT-bound at
         // ~500 req/s while a depth-4 pipeline keeps 4 requests in
         // flight; even on a loaded CI box a 1.5x margin is conservative
         // (the ideal is ~4x).
         let cfg = NetBenchConfig {
-            depths: vec![4],
+            depths: vec![1, 4],
             link_delay: Duration::from_millis(1),
             min_time: Duration::from_millis(120),
             min_ops: 8,
             ..tiny()
         };
         let report = run(&cfg);
-        let base = report.entry("verify", "v1", 1).expect("baseline").ops_per_s;
-        let piped = report.entry("verify", "v2", 4).expect("pipelined").ops_per_s;
+        let base = report.entry("verify", 1).expect("baseline").ops_per_s;
+        let piped = report.entry("verify", 4).expect("pipelined").ops_per_s;
         assert!(
             piped > base * 1.5,
             "depth-4 pipelining over a delayed link only reached {piped:.0} vs {base:.0} req/s"
         );
     }
 
-    fn entry(op: &'static str, mode: &'static str, depth: usize, ops: f64) -> NetBenchEntry {
-        NetBenchEntry { op, mode, depth, ops_per_s: ops, p50_ms: 2.0, p99_ms: 6.0 }
+    fn entry(op: &'static str, depth: usize, ops: f64) -> NetBenchEntry {
+        NetBenchEntry { op, depth, ops_per_s: ops, p50_ms: 2.0, p99_ms: 6.0 }
     }
 
     #[test]
@@ -826,12 +810,12 @@ mod tests {
             compute_threads: 4,
             link_delay_ms: 1.0,
             entries: vec![
-                entry("verify", "v1", 1, 10.0),
-                entry("verify", "v2", 16, 40.0),
-                entry("display_puzzle", "v1", 1, 10.0),
-                entry("display_puzzle", "v2", 16, 40.0),
-                entry("answer_puzzle_batch", "v1", 1, 5.0),
-                entry("answer_puzzle_batch", "v2", 16, 20.0),
+                entry("verify", 1, 10.0),
+                entry("verify", 16, 40.0),
+                entry("display_puzzle", 1, 10.0),
+                entry("display_puzzle", 16, 40.0),
+                entry("answer_puzzle_batch", 1, 5.0),
+                entry("answer_puzzle_batch", 16, 20.0),
             ],
             cluster: cluster_tiers(3.1),
             cluster_window: 4,
@@ -839,11 +823,11 @@ mod tests {
         let json = to_json(&report);
         validate_json(&json).unwrap();
         assert!(validate_json(&json[..json.len() - 4]).is_err(), "truncated");
-        assert!(validate_json(&json.replace("net/v3", "net/v9")).is_err(), "wrong schema");
+        assert!(validate_json(&json.replace("net/v4", "net/v9")).is_err(), "wrong schema");
         assert!(validate_json(&json.replace("\"verify\"", "\"vrfy\"")).is_err(), "missing op");
         assert!(
-            validate_json(&json.replace("\"mode\": \"v1\"", "\"mode\": \"vX\"")).is_err(),
-            "missing baseline"
+            validate_json(&json.replace("\"depth\": 1,", "\"depth\": 2,")).is_err(),
+            "missing depth-1 baseline"
         );
         assert!(
             validate_json(&json.replace("\"p99_ms\"", "\"p98_ms\"")).is_err(),
@@ -877,12 +861,12 @@ mod tests {
             compute_threads: 4,
             link_delay_ms: 1.0,
             entries: vec![
-                entry("verify", "v1", 1, 10.0),
-                entry("verify", "v2", 64, 40.0),
-                entry("display_puzzle", "v1", 1, 10.0),
-                entry("display_puzzle", "v2", 64, 40.0),
-                entry("answer_puzzle_batch", "v1", 1, 5.0),
-                entry("answer_puzzle_batch", "v2", 64, 20.0),
+                entry("verify", 1, 10.0),
+                entry("verify", 64, 40.0),
+                entry("display_puzzle", 1, 10.0),
+                entry("display_puzzle", 64, 40.0),
+                entry("answer_puzzle_batch", 1, 5.0),
+                entry("answer_puzzle_batch", 64, 20.0),
             ],
             cluster: cluster_tiers(2.8),
             cluster_window: 4,
@@ -905,19 +889,19 @@ mod tests {
     }
 
     #[test]
-    fn speedup_is_relative_to_the_v1_baseline() {
+    fn speedup_is_relative_to_the_depth1_row() {
         let report = NetBenchReport {
             quick: true,
             compute_threads: 4,
             link_delay_ms: 1.0,
-            entries: vec![entry("verify", "v1", 1, 10.0), entry("verify", "v2", 16, 35.0)],
+            entries: vec![entry("verify", 1, 10.0), entry("verify", 16, 35.0)],
             cluster: Vec::new(),
             cluster_window: 4,
         };
-        let e = report.entry("verify", "v2", 16).unwrap();
-        assert!((report.speedup_vs_v1(e) - 3.5).abs() < 1e-12);
+        let e = report.entry("verify", 16).unwrap();
+        assert!((report.speedup_vs_depth1(e) - 3.5).abs() < 1e-12);
         // No baseline → 0, not a panic or a bogus ratio.
-        let orphan = entry("display_puzzle", "v2", 4, 9.0);
-        assert_eq!(report.speedup_vs_v1(&orphan), 0.0);
+        let orphan = entry("display_puzzle", 4, 9.0);
+        assert_eq!(report.speedup_vs_depth1(&orphan), 0.0);
     }
 }

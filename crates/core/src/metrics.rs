@@ -234,7 +234,8 @@ pub struct ServerCounters {
     pub accepted: u64,
     /// Connections (or pipelined requests) refused with `Busy`.
     pub busy_rejections: u64,
-    /// Connections that negotiated the v2 (correlation-framed) protocol.
+    /// Connections whose HELLO was acknowledged (every connection the
+    /// daemon goes on to serve).
     pub v2_negotiated: u64,
     /// Jobs currently submitted to the compute pool and not yet answered.
     pub in_flight: u64,

@@ -1,14 +1,10 @@
-//! A blocking RPC connection with timeouts and bounded retry.
+//! Client settings and idempotency tokens, shared by every call the
+//! [`crate::PipelinedConnection`] makes.
 
-use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::dedup::wrap_idempotent;
-use crate::error::NetError;
-use crate::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
-use crate::msg::decode_response;
+use crate::frame::DEFAULT_MAX_FRAME;
 
 /// A process-unique idempotency token: a per-process random-ish base
 /// (clock entropy) mixed with a counter through the SplitMix64 finalizer.
@@ -36,12 +32,13 @@ pub(crate) fn next_token() -> u64 {
 pub struct ClientConfig {
     /// TCP connect timeout.
     pub connect_timeout: Duration,
-    /// Socket read timeout (per response).
+    /// Per-request deadline, from submission to response; also bounds
+    /// the HELLO exchange.
     pub read_timeout: Duration,
-    /// Socket write timeout (per request).
+    /// Socket write timeout (per frame).
     pub write_timeout: Duration,
     /// Retries after the first attempt (so `retries = 2` means up to 3
-    /// attempts), each on a freshly opened connection.
+    /// attempts) of a call that failed with a transport error or `Busy`.
     pub retries: u32,
     /// First retry backoff; doubles per subsequent retry.
     pub backoff: Duration,
@@ -59,354 +56,5 @@ impl Default for ClientConfig {
             backoff: Duration::from_millis(50),
             max_frame: DEFAULT_MAX_FRAME,
         }
-    }
-}
-
-/// One logical connection to a daemon: lazily connected, reconnected on
-/// failure, safe to share across threads (requests serialize on an
-/// internal lock — open one `Connection` per load-generator thread for
-/// parallelism).
-///
-/// # Retry semantics
-///
-/// A request that fails with a *transport* error (socket error, closed
-/// connection, server busy) is retried on a fresh connection with
-/// exponential backoff, up to [`ClientConfig::retries`] times. This
-/// gives **at-least-once** delivery: a request whose response was lost
-/// may have executed on the server. Every social-puzzles RPC tolerates
-/// that — uploads/puts are idempotent in effect (a duplicate just
-/// creates an unused id/URL), and reads are pure. Deterministic protocol
-/// errors from the server are never retried.
-#[derive(Debug)]
-pub struct Connection {
-    addr: SocketAddr,
-    cfg: ClientConfig,
-    stream: Mutex<Option<TcpStream>>,
-}
-
-impl Connection {
-    /// Creates a (lazily connected) connection to `addr`.
-    pub fn new(addr: SocketAddr, cfg: ClientConfig) -> Self {
-        Self { addr, cfg, stream: Mutex::new(None) }
-    }
-
-    /// The remote address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Sends one request frame and awaits the response frame, retrying
-    /// transport failures per the config. Returns the decoded OK payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Remote`] for server error frames and the last
-    /// transport error once retries are exhausted.
-    pub fn call(&self, request: &[u8]) -> Result<Vec<u8>, NetError> {
-        let mut guard = self.stream.lock().unwrap_or_else(|p| p.into_inner());
-        let mut backoff = self.cfg.backoff;
-        let mut attempt = 0u32;
-        loop {
-            // Decode inside the loop: an error *frame* may still be
-            // retryable (Busy), so it must flow through the same match as
-            // transport failures.
-            let result = self
-                .attempt(&mut guard, request)
-                .and_then(|frame| decode_response(&frame).map(<[u8]>::to_vec));
-            match result {
-                Ok(payload) => return Ok(payload),
-                Err(e) if e.is_retryable() && attempt < self.cfg.retries => {
-                    *guard = None; // force a fresh connection
-                    attempt += 1;
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
-                Err(e) => {
-                    // A deterministic server error leaves the connection
-                    // healthy; only transport failures poison it.
-                    if !matches!(e, NetError::Remote { .. }) {
-                        *guard = None;
-                    }
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// Like [`Connection::call`], but for **mutating** requests: the
-    /// request is tagged with a fresh idempotency token generated *once*
-    /// per logical call, so every retry resends the same token and a
-    /// dedup-aware server (see [`crate::dedup`]) applies the mutation at
-    /// most once even when a response frame was lost in flight.
-    ///
-    /// # Errors
-    ///
-    /// As [`Connection::call`].
-    pub fn call_idempotent(&self, request: &[u8]) -> Result<Vec<u8>, NetError> {
-        self.call(&wrap_idempotent(next_token(), request))
-    }
-
-    /// One attempt on the cached (or a fresh) connection.
-    fn attempt(&self, slot: &mut Option<TcpStream>, request: &[u8]) -> Result<Vec<u8>, NetError> {
-        if slot.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)?;
-            stream.set_read_timeout(Some(self.cfg.read_timeout))?;
-            stream.set_write_timeout(Some(self.cfg.write_timeout))?;
-            stream.set_nodelay(true)?;
-            *slot = Some(stream);
-        }
-        let stream = slot.as_mut().expect("just connected");
-        write_frame(stream, request, self.cfg.max_frame)?;
-        // Responses carry the 1-byte envelope on top of payloads that may
-        // themselves be max_frame-sized; mirror the server's headroom.
-        match read_frame(stream, self.cfg.max_frame.saturating_add(1024))? {
-            Some(frame) => Ok(frame),
-            None => Err(NetError::Closed),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::daemon::{Daemon, DaemonConfig, Service};
-    use crate::error::ErrorCode;
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
-
-    /// Succeeds only from the `fail_first`-th request on — by closing the
-    /// connection without answering before that — so the client's retry
-    /// path is actually exercised.
-    struct Flaky {
-        seen: AtomicU32,
-        fail_first: u32,
-    }
-    impl Service for Flaky {
-        fn handle(&self, request: &[u8]) -> Result<Vec<u8>, (ErrorCode, String)> {
-            let n = self.seen.fetch_add(1, Ordering::SeqCst);
-            if n < self.fail_first {
-                // An Internal error frame is NOT retryable; to simulate a
-                // transport fault we'd need to kill the socket, which the
-                // Service trait can't do — so use Busy, which is.
-                return Err((ErrorCode::Busy, "warming up".into()));
-            }
-            Ok(request.to_vec())
-        }
-    }
-
-    fn quick_cfg() -> ClientConfig {
-        ClientConfig {
-            backoff: Duration::from_millis(5),
-            read_timeout: Duration::from_secs(5),
-            ..ClientConfig::default()
-        }
-    }
-
-    #[test]
-    fn call_roundtrips() {
-        let daemon = Daemon::spawn(
-            "127.0.0.1:0",
-            Arc::new(Flaky { seen: AtomicU32::new(0), fail_first: 0 }),
-            DaemonConfig::default(),
-        )
-        .unwrap();
-        let conn = Connection::new(daemon.addr(), quick_cfg());
-        assert_eq!(conn.call(b"ping").unwrap(), b"ping");
-        assert_eq!(conn.call(b"pong").unwrap(), b"pong");
-        daemon.shutdown();
-    }
-
-    #[test]
-    fn busy_responses_are_retried_until_success() {
-        let daemon = Daemon::spawn(
-            "127.0.0.1:0",
-            Arc::new(Flaky { seen: AtomicU32::new(0), fail_first: 2 }),
-            DaemonConfig::default(),
-        )
-        .unwrap();
-        let conn = Connection::new(daemon.addr(), quick_cfg());
-        // retries = 2 → 3 attempts; the first two answer Busy.
-        assert_eq!(conn.call(b"eventually").unwrap(), b"eventually");
-        daemon.shutdown();
-    }
-
-    #[test]
-    fn retries_are_bounded() {
-        let daemon = Daemon::spawn(
-            "127.0.0.1:0",
-            Arc::new(Flaky { seen: AtomicU32::new(0), fail_first: u32::MAX }),
-            DaemonConfig::default(),
-        )
-        .unwrap();
-        let conn = Connection::new(daemon.addr(), quick_cfg());
-        match conn.call(b"never").unwrap_err() {
-            NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::Busy),
-            other => panic!("expected Remote busy, got {other}"),
-        }
-        daemon.shutdown();
-    }
-
-    #[test]
-    fn busy_retries_respect_bounded_backoff() {
-        let service = Arc::new(Flaky { seen: AtomicU32::new(0), fail_first: u32::MAX });
-        let daemon =
-            Daemon::spawn("127.0.0.1:0", Arc::clone(&service) as _, DaemonConfig::default())
-                .unwrap();
-        let cfg = ClientConfig {
-            retries: 3,
-            backoff: Duration::from_millis(20),
-            ..ClientConfig::default()
-        };
-        let conn = Connection::new(daemon.addr(), cfg);
-        let started = std::time::Instant::now();
-        conn.call(b"always busy").unwrap_err();
-        let elapsed = started.elapsed();
-        // Exactly retries + 1 attempts — bounded, not infinite.
-        assert_eq!(service.seen.load(Ordering::SeqCst), 4);
-        // And the exponential schedule (20 + 40 + 80 ms) was actually
-        // slept through, less scheduler slop.
-        assert!(elapsed >= Duration::from_millis(120), "only waited {elapsed:?}");
-        daemon.shutdown();
-    }
-
-    /// A hand-rolled server that answers its first connection with a
-    /// *truncated* frame (header promising more bytes than are sent) and
-    /// then closes — the client must treat the partial read as a
-    /// transport error and retry; subsequent connections get real echo
-    /// responses.
-    fn partial_then_echo_server() -> (SocketAddr, std::thread::JoinHandle<u32>) {
-        use crate::frame::read_frame;
-        use std::io::Write;
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            let mut served = 0u32;
-            for (i, stream) in listener.incoming().enumerate() {
-                let mut stream = stream.unwrap();
-                let Ok(Some(req)) = read_frame(&mut stream, DEFAULT_MAX_FRAME) else { break };
-                served += 1;
-                if i == 0 {
-                    // Claim an 8-byte payload, deliver 3, hang up.
-                    stream.write_all(&8u32.to_be_bytes()).unwrap();
-                    stream.write_all(&[0x00, 0xAA, 0xBB]).unwrap();
-                    drop(stream);
-                } else {
-                    let mut resp = vec![0x00]; // OK envelope
-                    resp.extend_from_slice(&req);
-                    write_frame(&mut stream, &resp, DEFAULT_MAX_FRAME).unwrap();
-                    break;
-                }
-            }
-            served
-        });
-        (addr, handle)
-    }
-
-    #[test]
-    fn partial_reads_are_retried_as_transport_errors() {
-        let (addr, server) = partial_then_echo_server();
-        let conn = Connection::new(addr, quick_cfg());
-        // First attempt dies mid-frame; the retry (fresh connection)
-        // succeeds and the caller never sees the fault.
-        assert_eq!(conn.call(b"payload").unwrap(), b"payload");
-        assert_eq!(server.join().unwrap(), 2);
-    }
-
-    #[test]
-    fn connect_timeouts_respect_retry_bound() {
-        // 10.255.255.1 is effectively unroutable, so connects time out
-        // rather than refuse; with retries = 1 the client must give up
-        // after exactly two bounded waits.
-        let addr: SocketAddr = "10.255.255.1:1".parse().unwrap();
-        let cfg = ClientConfig {
-            retries: 1,
-            backoff: Duration::from_millis(1),
-            connect_timeout: Duration::from_millis(150),
-            ..ClientConfig::default()
-        };
-        let conn = Connection::new(addr, cfg);
-        let started = std::time::Instant::now();
-        let err = conn.call(b"x").unwrap_err();
-        let elapsed = started.elapsed();
-        // On a plain network the connects time out (`Io`); environments
-        // that intercept outbound connects (CI sandboxes, transparent
-        // proxies) may accept and immediately drop instead (`Closed`).
-        // Either way the client must give up, bounded.
-        assert!(matches!(err, NetError::Io(_) | NetError::Closed), "got {err}");
-        // Two attempts × 150 ms + 1 ms backoff, plus generous slop for a
-        // loaded test host — but well under an unbounded hang.
-        assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
-    }
-
-    /// Applies each *new* mutation once (counting it) and echoes; wired
-    /// behind a [`DedupService`] exactly like the real SP/DH daemons.
-    #[test]
-    fn lost_response_retry_never_double_applies() {
-        use crate::dedup::DedupService;
-        use crate::frame::read_frame;
-        use std::io::Write;
-
-        struct Apply(AtomicU32);
-        impl Service for Apply {
-            fn handle(&self, request: &[u8]) -> Result<Vec<u8>, (ErrorCode, String)> {
-                self.0.fetch_add(1, Ordering::SeqCst);
-                Ok(request.to_vec())
-            }
-        }
-        let service = Arc::new(DedupService::new(Apply(AtomicU32::new(0))));
-        let daemon =
-            Daemon::spawn("127.0.0.1:0", Arc::clone(&service) as _, DaemonConfig::default())
-                .unwrap();
-        let upstream = daemon.addr();
-
-        // A lossy proxy: forwards the request, then truncates the FIRST
-        // response mid-frame; later responses pass through intact.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let proxy_addr = listener.local_addr().unwrap();
-        let proxy = std::thread::spawn(move || {
-            for (i, stream) in listener.incoming().enumerate() {
-                let mut downstream = stream.unwrap();
-                let Ok(Some(req)) = read_frame(&mut downstream, DEFAULT_MAX_FRAME) else { break };
-                let mut up = TcpStream::connect(upstream).unwrap();
-                write_frame(&mut up, &req, DEFAULT_MAX_FRAME).unwrap();
-                let resp = read_frame(&mut up, DEFAULT_MAX_FRAME).unwrap().unwrap();
-                if i == 0 {
-                    // The mutation HAS executed upstream; now lose most
-                    // of the response on the way back.
-                    downstream.write_all(&(resp.len() as u32).to_be_bytes()).unwrap();
-                    downstream.write_all(&resp[..resp.len() / 2]).unwrap();
-                    drop(downstream);
-                } else {
-                    write_frame(&mut downstream, &resp, DEFAULT_MAX_FRAME).unwrap();
-                    break;
-                }
-            }
-        });
-
-        let conn = Connection::new(proxy_addr, quick_cfg());
-        // The logical mutation succeeds despite the lost response...
-        assert_eq!(conn.call_idempotent(b"mutate-once").unwrap(), b"mutate-once");
-        proxy.join().unwrap();
-        // ...and was applied exactly once: the retry hit the replay cache.
-        assert_eq!(service.inner().0.load(Ordering::SeqCst), 1, "mutation applied twice");
-        daemon.shutdown();
-    }
-
-    #[test]
-    fn connect_failure_surfaces_after_retries() {
-        // A port with (almost certainly) nothing listening: bind then
-        // drop a listener to get a dead ephemeral port.
-        let dead = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        let cfg = ClientConfig {
-            retries: 1,
-            backoff: Duration::from_millis(1),
-            connect_timeout: Duration::from_millis(300),
-            ..ClientConfig::default()
-        };
-        let conn = Connection::new(dead, cfg);
-        assert!(matches!(conn.call(b"x").unwrap_err(), NetError::Io(_)));
     }
 }

@@ -11,7 +11,7 @@
 //!   server. Any party holding the id can find the owner with nothing
 //!   but a ring; ids survive rebalances unchanged.
 //! * **[`ClusterClient`]** routes each keyed request to the ring owner
-//!   over per-node [`SpClient`]s (pipelined v2 connections). A node that
+//!   over per-node pipelined [`SpClient`]s. A node that
 //!   disagrees refuses with [`ErrorCode::WrongOwner`] and a
 //!   machine-parseable `epoch={e} owner={addr|none}` hint; the client
 //!   reconciles — pulling the refuser's ring when the refuser is newer,
@@ -83,7 +83,7 @@ pub struct ClusterClient {
 
 impl ClusterClient {
     /// Builds a client over `ring`; per-node connections are opened
-    /// lazily with `cfg` (pipelined v2, falling back to v1).
+    /// lazily with `cfg`.
     pub fn connect(ring: HashRing, cfg: PipelineConfig) -> Self {
         Self {
             ring: RwLock::new(ring),

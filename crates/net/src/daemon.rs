@@ -8,13 +8,14 @@
 //! connection count — a thousand mostly-idle clients cost two parked
 //! threads each, not a pinned worker.
 //!
-//! Connections start on the v1 protocol (one frame in flight, answered
-//! in order). A client that sends the HELLO frame (see
-//! [`crate::msg::hello_frame`]) upgrades the connection to **v2**
-//! framing: every subsequent frame carries a correlation id, the reader
-//! keeps decoding while jobs compute, and the writer sends each response
-//! the moment its job completes — out of order, matched by id — so one
-//! slow `Access`/`VerifyBatch` no longer stalls the connection.
+//! Every connection opens with the HELLO exchange (see
+//! [`crate::msg::hello_frame`]): the first frame must be HELLO, and the
+//! daemon's ack switches both directions to correlation-id framing. From
+//! then on the reader keeps decoding while jobs compute, and the writer
+//! sends each response the moment its job completes — out of order,
+//! matched by id — so one slow `Access`/`VerifyBatch` never stalls the
+//! connection. Any other first frame is refused with
+//! [`ErrorCode::BadRequest`] and the connection closed.
 //!
 //! Frame payload buffers are recycled through a [`BufferPool`] on both
 //! the read and write paths, so steady-state serving performs no
@@ -100,10 +101,6 @@ pub struct DaemonConfig {
     pub read_timeout: Duration,
     /// Writer socket write timeout.
     pub write_timeout: Duration,
-    /// Whether HELLO upgrades to the v2 (pipelined) protocol are
-    /// accepted. Off, the daemon behaves exactly like a v1-only peer
-    /// (HELLO answered with `BadRequest`) — used by interop tests.
-    pub enable_v2: bool,
     /// Idle frame buffers retained by the recycling pool.
     pub buffer_pool: usize,
     /// Sink for serving-path counters (accepted/busy/in-flight/queue
@@ -130,7 +127,6 @@ impl Default for DaemonConfig {
             poll_interval: Duration::from_millis(5),
             read_timeout: Duration::from_millis(50),
             write_timeout: Duration::from_secs(5),
-            enable_v2: true,
             buffer_pool: DEFAULT_POOL_CAP,
             metrics: ServiceMetrics::default(),
             component: "net.server".to_owned(),
@@ -256,12 +252,10 @@ fn busy_reject(mut stream: TcpStream, cfg: &DaemonConfig) {
 
 /// One response on its way to a connection's writer thread.
 struct Reply {
-    /// v2 correlation id (ignored for v1 frames).
+    /// Correlation id of the request it answers.
     corr: u64,
     /// Submission order on this connection, for out-of-order accounting.
     seq: u64,
-    /// Whether to frame as v2.
-    v2: bool,
     frame: PooledBuf,
 }
 
@@ -274,11 +268,14 @@ struct Replies {
     in_flight: AtomicUsize,
 }
 
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
+fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let cfg = &shared.cfg;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(cfg.write_timeout));
+    if !handshake(&mut stream, shared) {
+        return;
+    }
     let Ok(write_half) = stream.try_clone() else { return };
 
     let (tx, reply_rx) = mpsc::channel::<Reply>();
@@ -304,6 +301,50 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = writer.join();
 }
 
+/// Reads the connection's first frame — length-prefixed without a
+/// correlation id, through the same polling fill as every later frame,
+/// so shutdown and the idle reaper apply to a stalled opener too — and
+/// answers it on this thread. HELLO gets the ack and returns `true`: both
+/// directions use correlation-id frames from here on. An oversized frame
+/// gets [`ErrorCode::FrameTooLarge`], anything else
+/// [`ErrorCode::BadRequest`]; both return `false` and the caller closes.
+fn handshake(stream: &mut TcpStream, shared: &Shared) -> bool {
+    let cfg = &shared.cfg;
+    let response_cap = cfg.max_frame.saturating_add(1024);
+    let nothing_in_flight = AtomicUsize::new(0);
+    let mut fill = |buf: &mut [u8], eof_ok: bool| {
+        let filled = fill_polling(stream, buf, shared, &nothing_in_flight, eof_ok);
+        if matches!(filled, Ok(Fill::Idle)) {
+            cfg.metrics.server_idle_reaped(&cfg.component);
+        }
+        matches!(filled, Ok(Fill::Filled))
+    };
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    if !fill(&mut header, true) {
+        return false;
+    }
+    let len = u32::from_be_bytes(header);
+    let refusal = if len > cfg.max_frame {
+        // The read position is inside an unread payload: refuse and close.
+        let detail = format!("frame of {len} bytes exceeds the {}-byte cap", cfg.max_frame);
+        err_frame(ErrorCode::FrameTooLarge, &detail)
+    } else {
+        let mut payload = shared.buffers.checkout();
+        payload.resize(len as usize, 0);
+        if !fill(&mut payload, false) {
+            return false;
+        }
+        if is_hello(&payload) {
+            cfg.metrics.server_v2_negotiated(&cfg.component);
+            let ack = ok_frame(&hello_ack_payload());
+            return write_frame(stream, &ack, response_cap).is_ok();
+        }
+        err_frame(ErrorCode::BadRequest, "the first frame must be HELLO")
+    };
+    let _ = write_frame(stream, &refusal, response_cap);
+    false
+}
+
 fn writer_loop(
     mut stream: TcpStream,
     rx: &Receiver<Reply>,
@@ -319,18 +360,12 @@ fn writer_loop(
         }
         if reply.seq < max_seq_written {
             // This response was overtaken by a later request's — the
-            // pipelined out-of-order completion the v2 protocol exists
-            // to allow.
+            // out-of-order completion correlation ids exist to allow.
             metrics.server_out_of_order(component);
         } else {
             max_seq_written = reply.seq;
         }
-        let result = if reply.v2 {
-            write_frame_v2(&mut stream, reply.corr, &reply.frame, response_cap)
-        } else {
-            write_frame(&mut stream, &reply.frame, response_cap)
-        };
-        if result.is_err() {
+        if write_frame_v2(&mut stream, reply.corr, &reply.frame, response_cap).is_err() {
             broken.store(true, Ordering::SeqCst);
         }
         // `reply.frame` drops here, returning its buffer to the pool.
@@ -344,55 +379,15 @@ fn reader_loop(
     broken: &Arc<AtomicBool>,
 ) {
     let cfg = &shared.cfg;
-    let mut v2 = false;
     let mut seq = 0u64;
     loop {
         if broken.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        let event = read_frame_polling(&mut stream, shared, v2, &replies.in_flight);
+        let event = read_frame_polling(&mut stream, shared, &replies.in_flight);
         seq += 1;
         match event {
-            Ok(ReadEvent::Frame(payload)) => {
-                debug_assert!(!v2);
-                if is_hello(&payload) {
-                    let (frame, upgraded) = if cfg.enable_v2 {
-                        cfg.metrics.server_v2_negotiated(&cfg.component);
-                        (ok_frame(&hello_ack_payload()), true)
-                    } else {
-                        (err_frame(ErrorCode::BadRequest, "protocol v2 not enabled"), false)
-                    };
-                    let mut buf = shared.buffers.checkout();
-                    buf.extend_from_slice(&frame);
-                    if replies.tx.send(Reply { corr: 0, seq, v2: false, frame: buf }).is_err() {
-                        break;
-                    }
-                    v2 = upgraded;
-                    continue;
-                }
-                // v1: one request in flight, answered before the next
-                // read — order-preserving by construction.
-                let (done_tx, done_rx) = mpsc::channel::<()>();
-                if !submit(shared, payload, 0, seq, false, replies, Some(done_tx)) {
-                    continue; // Busy reply already queued
-                }
-                // The job signals completion by dropping its sender
-                // (Disconnected); a Timeout tick is just a chance to poll
-                // the stop/broken flags so shutdown stays prompt while a
-                // slow handler runs. Reading the next frame before the
-                // drop would let v1 responses complete out of order.
-                while let Err(mpsc::RecvTimeoutError::Timeout) =
-                    done_rx.recv_timeout(cfg.read_timeout)
-                {
-                    if shared.stop.load(Ordering::SeqCst) || broken.load(Ordering::SeqCst) {
-                        break;
-                    }
-                }
-            }
-            Ok(ReadEvent::FrameV2(corr, payload)) => {
-                debug_assert!(v2);
-                submit(shared, payload, corr, seq, true, replies, None);
-            }
+            Ok(ReadEvent::Frame(corr, payload)) => submit(shared, payload, corr, seq, replies),
             Ok(ReadEvent::Eof) | Ok(ReadEvent::Stopped) => break,
             Ok(ReadEvent::Idle) => {
                 cfg.metrics.server_idle_reaped(&cfg.component);
@@ -401,7 +396,7 @@ fn reader_loop(
             Ok(ReadEvent::TooLarge { corr, len }) => {
                 // Typed refusal, then close: the read position is inside
                 // an unread payload, so the connection cannot continue.
-                // The v2 header (length + correlation id) was read before
+                // The header (length + correlation id) was read before
                 // the length check fired, so the refusal echoes the
                 // offending request's id — a pipelined caller fails fast
                 // with the typed error instead of timing out and
@@ -409,7 +404,7 @@ fn reader_loop(
                 let detail = format!("frame of {len} bytes exceeds the {}-byte cap", cfg.max_frame);
                 let mut buf = shared.buffers.checkout();
                 buf.extend_from_slice(&err_frame(ErrorCode::FrameTooLarge, &detail));
-                let _ = replies.tx.send(Reply { corr, seq, v2, frame: buf });
+                let _ = replies.tx.send(Reply { corr, seq, frame: buf });
                 break;
             }
             Err(_) => break,
@@ -417,17 +412,9 @@ fn reader_loop(
     }
 }
 
-/// Hands one decoded request to the shared compute pool. Returns `false`
-/// when the pool refused (a `Busy` reply was queued instead).
-fn submit(
-    shared: &Arc<Shared>,
-    payload: PooledBuf,
-    corr: u64,
-    seq: u64,
-    v2: bool,
-    replies: &Arc<Replies>,
-    done_tx: Option<mpsc::Sender<()>>,
-) -> bool {
+/// Hands one decoded request to the shared compute pool, or queues a
+/// `Busy` reply when the pool refuses it.
+fn submit(shared: &Arc<Shared>, payload: PooledBuf, corr: u64, seq: u64, replies: &Arc<Replies>) {
     let cfg = &shared.cfg;
     cfg.metrics.server_job_enqueued(&cfg.component);
     let job_shared = Arc::clone(shared);
@@ -450,9 +437,8 @@ fn submit(
                        // request in our reader, so a post-send decrement would let
                        // `in_flight` transiently exceed every client's pipeline depth.
         cfg.metrics.server_job_finished(&cfg.component);
-        let _ = job_replies.tx.send(Reply { corr, seq, v2, frame });
+        let _ = job_replies.tx.send(Reply { corr, seq, frame });
         job_replies.in_flight.fetch_sub(1, Ordering::SeqCst);
-        drop(done_tx); // v1 reader resumes
     });
     if accepted.is_err() {
         replies.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -461,20 +447,16 @@ fn submit(
         cfg.metrics.server_busy_rejection(&cfg.component);
         let mut buf = shared.buffers.checkout();
         buf.extend_from_slice(&err_frame(ErrorCode::Busy, "compute queue full"));
-        let _ = replies.tx.send(Reply { corr, seq, v2, frame: buf });
-        return false;
+        let _ = replies.tx.send(Reply { corr, seq, frame: buf });
     }
-    true
 }
 
 /// One frame-read attempt on a polled socket.
 enum ReadEvent {
-    /// A v1 frame.
-    Frame(PooledBuf),
-    /// A v2 frame with its correlation id.
-    FrameV2(u64, PooledBuf),
+    /// A frame with its correlation id.
+    Frame(u64, PooledBuf),
     /// The length prefix exceeded the cap (rejected before allocation);
-    /// `corr` is the offending v2 correlation id (0 on v1 connections).
+    /// `corr` is the offending request's correlation id.
     TooLarge { corr: u64, len: u64 },
     /// Peer closed between frames.
     Eof,
@@ -487,25 +469,18 @@ enum ReadEvent {
 fn read_frame_polling(
     stream: &mut TcpStream,
     shared: &Shared,
-    v2: bool,
     in_flight: &AtomicUsize,
 ) -> Result<ReadEvent, NetError> {
-    let max_frame = shared.cfg.max_frame;
     let mut header = [0u8; FRAME_V2_HEADER_LEN];
-    let header_len = if v2 { FRAME_V2_HEADER_LEN } else { FRAME_HEADER_LEN };
-    match fill_polling(stream, &mut header[..header_len], shared, in_flight, true)? {
+    match fill_polling(stream, &mut header, shared, in_flight, true)? {
         Fill::Stopped => return Ok(ReadEvent::Stopped),
         Fill::Idle => return Ok(ReadEvent::Idle),
         Fill::Eof => return Ok(ReadEvent::Eof),
         Fill::Filled => {}
     }
     let len = u32::from_be_bytes(header[..FRAME_HEADER_LEN].try_into().expect("fixed len"));
-    let corr = if v2 {
-        u64::from_be_bytes(header[FRAME_HEADER_LEN..].try_into().expect("fixed len"))
-    } else {
-        0
-    };
-    if len > max_frame {
+    let corr = u64::from_be_bytes(header[FRAME_HEADER_LEN..].try_into().expect("fixed len"));
+    if len > shared.cfg.max_frame {
         return Ok(ReadEvent::TooLarge { corr, len: u64::from(len) });
     }
     let mut payload = shared.buffers.checkout();
@@ -514,8 +489,7 @@ fn read_frame_polling(
         Fill::Stopped => Ok(ReadEvent::Stopped),
         Fill::Idle => Ok(ReadEvent::Idle),
         Fill::Eof => Err(NetError::Closed),
-        Fill::Filled if v2 => Ok(ReadEvent::FrameV2(corr, payload)),
-        Fill::Filled => Ok(ReadEvent::Frame(payload)),
+        Fill::Filled => Ok(ReadEvent::Frame(corr, payload)),
     }
 }
 
@@ -604,30 +578,39 @@ mod tests {
         DaemonConfig { workers: 2, queue_depth: 4, max_frame: 1024, ..DaemonConfig::default() }
     }
 
-    fn upgrade(conn: &mut TcpStream) {
-        write_frame(conn, &hello_frame(), 1024).unwrap();
-        let resp = read_frame(conn, 4096).unwrap().unwrap();
+    /// Connects and completes the HELLO exchange.
+    fn open(daemon: &Daemon) -> TcpStream {
+        let mut conn = TcpStream::connect(daemon.addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write_frame(&mut conn, &hello_frame(), 1024).unwrap();
+        let resp = read_frame(&mut conn, 4096).unwrap().unwrap();
         assert!(is_hello_ack(decode_response(&resp).unwrap()), "daemon accepted HELLO");
+        conn
+    }
+
+    /// One request on an upgraded connection; returns the raw response
+    /// envelope after checking it answers `corr`.
+    fn roundtrip(conn: &mut TcpStream, corr: u64, request: &[u8]) -> Vec<u8> {
+        write_frame_v2(conn, corr, request, 1024).unwrap();
+        let (got, resp) = read_frame_v2(conn, 4096).unwrap().unwrap();
+        assert_eq!(got, corr, "response answers its own request");
+        resp
     }
 
     #[test]
     fn serves_frames_and_error_frames() {
         let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Upper), small_cfg()).unwrap();
-        let mut conn = TcpStream::connect(daemon.addr()).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut conn = open(&daemon);
 
-        write_frame(&mut conn, b"hello", 1024).unwrap();
-        let resp = read_frame(&mut conn, 4096).unwrap().unwrap();
-        assert_eq!(decode_response(&resp).unwrap(), b"HELLO");
+        // OK envelope + payload, nothing else.
+        assert_eq!(roundtrip(&mut conn, 1, b"abc"), [&[RESP_OK][..], b"ABC"].concat());
 
         // Multiple requests on one connection.
-        write_frame(&mut conn, b"again", 1024).unwrap();
-        let resp = read_frame(&mut conn, 4096).unwrap().unwrap();
+        let resp = roundtrip(&mut conn, 2, b"again");
         assert_eq!(decode_response(&resp).unwrap(), b"AGAIN");
 
         // A service error becomes an error frame, connection stays open.
-        write_frame(&mut conn, b"boom", 1024).unwrap();
-        let resp = read_frame(&mut conn, 4096).unwrap().unwrap();
+        let resp = roundtrip(&mut conn, 3, b"boom");
         match decode_response(&resp).unwrap_err() {
             NetError::Remote { code, detail } => {
                 assert_eq!(code, ErrorCode::Internal);
@@ -635,8 +618,7 @@ mod tests {
             }
             other => panic!("expected Remote, got {other}"),
         }
-        write_frame(&mut conn, b"still here", 1024).unwrap();
-        let resp = read_frame(&mut conn, 4096).unwrap().unwrap();
+        let resp = roundtrip(&mut conn, 4, b"still here");
         assert_eq!(decode_response(&resp).unwrap(), b"STILL HERE");
 
         daemon.shutdown();
@@ -664,10 +646,8 @@ mod tests {
         }
 
         // ...and keeps serving everyone else.
-        let mut good = TcpStream::connect(daemon.addr()).unwrap();
-        good.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_frame(&mut good, b"alive?", 1024).unwrap();
-        let resp = read_frame(&mut good, 4096).unwrap().unwrap();
+        let mut good = open(&daemon);
+        let resp = roundtrip(&mut good, 1, b"alive?");
         assert_eq!(decode_response(&resp).unwrap(), b"ALIVE?");
 
         daemon.shutdown();
@@ -676,9 +656,7 @@ mod tests {
     #[test]
     fn oversized_v2_frame_refusal_echoes_the_correlation_id() {
         let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Upper), small_cfg()).unwrap();
-        let mut conn = TcpStream::connect(daemon.addr()).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        upgrade(&mut conn);
+        let mut conn = open(&daemon);
 
         // Hostile v2 header: correlation id 7, claimed 16 MiB payload on
         // a 1 KiB server. The typed refusal must target id 7 so the
@@ -691,25 +669,6 @@ mod tests {
             NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::FrameTooLarge),
             other => panic!("expected Remote, got {other}"),
         }
-        daemon.shutdown();
-    }
-
-    #[test]
-    fn v1_responses_stay_in_order_when_the_handler_outlives_read_timeout() {
-        // A handler slower than the reader's poll interval: the reader
-        // must keep waiting for job completion rather than reading (and
-        // submitting) the next v1 frame, which would let a fast response
-        // overtake a slow one and break v1's strict-in-order guarantee.
-        let cfg = DaemonConfig { read_timeout: Duration::from_millis(10), ..small_cfg() };
-        let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Sleepy), cfg).unwrap();
-        let mut conn = TcpStream::connect(daemon.addr()).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_frame(&mut conn, &[80, 1], 1024).unwrap(); // 80 ms
-        write_frame(&mut conn, &[0, 2], 1024).unwrap(); // immediate
-        let first = read_frame(&mut conn, 4096).unwrap().unwrap();
-        assert_eq!(decode_response(&first).unwrap(), [80, 1], "slow response answered first");
-        let second = read_frame(&mut conn, 4096).unwrap().unwrap();
-        assert_eq!(decode_response(&second).unwrap(), [0, 2]);
         daemon.shutdown();
     }
 
@@ -737,15 +696,13 @@ mod tests {
 
         let mut idle = TcpStream::connect(daemon.addr()).unwrap();
         idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut active = TcpStream::connect(daemon.addr()).unwrap();
-        active.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut active = open(&daemon);
 
         // Keep `active` chatting past the idle window; `idle` says
-        // nothing at all.
-        for _ in 0..6 {
+        // nothing at all, not even HELLO.
+        for corr in 0..6 {
             std::thread::sleep(Duration::from_millis(40));
-            write_frame(&mut active, b"ping", 1024).unwrap();
-            let resp = read_frame(&mut active, 4096).unwrap().unwrap();
+            let resp = roundtrip(&mut active, corr, b"ping");
             assert_eq!(decode_response(&resp).unwrap(), b"PING");
         }
 
@@ -754,8 +711,7 @@ mod tests {
         assert!(metrics.server("net.server").idle_reaped >= 1);
 
         // The active one is still serviceable.
-        write_frame(&mut active, b"fin", 1024).unwrap();
-        let resp = read_frame(&mut active, 4096).unwrap().unwrap();
+        let resp = roundtrip(&mut active, 6, b"fin");
         assert_eq!(decode_response(&resp).unwrap(), b"FIN");
         daemon.shutdown();
     }
@@ -777,10 +733,8 @@ mod tests {
         loris.write_all(&[0u8]).unwrap(); // first byte of a length prefix
 
         // Normal service continues around the stalled socket.
-        let mut good = TcpStream::connect(daemon.addr()).unwrap();
-        good.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_frame(&mut good, b"ok", 1024).unwrap();
-        let resp = read_frame(&mut good, 4096).unwrap().unwrap();
+        let mut good = open(&daemon);
+        let resp = roundtrip(&mut good, 1, b"ok");
         assert_eq!(decode_response(&resp).unwrap(), b"OK");
 
         // ...and the loris is closed on us once the idle window passes.
@@ -794,7 +748,7 @@ mod tests {
 
     #[test]
     fn a_request_in_flight_holds_off_the_idle_reaper() {
-        // A v2 peer waiting on a handler slower than the idle timeout has
+        // A peer waiting on a handler slower than the idle timeout has
         // sent nothing meanwhile, but it is not idle.
         let metrics = ServiceMetrics::new();
         let cfg = DaemonConfig {
@@ -804,9 +758,7 @@ mod tests {
             ..small_cfg()
         };
         let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Sleepy), cfg).unwrap();
-        let mut conn = TcpStream::connect(daemon.addr()).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        upgrade(&mut conn);
+        let mut conn = open(&daemon);
 
         write_frame_v2(&mut conn, 1, &[200], 1024).unwrap(); // 200 ms
         let (corr, resp) = read_frame_v2(&mut conn, 4096).unwrap().unwrap();
@@ -823,9 +775,7 @@ mod tests {
         let metrics = ServiceMetrics::new();
         let cfg = DaemonConfig { metrics: metrics.clone(), ..small_cfg() };
         let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Sleepy), cfg).unwrap();
-        let mut conn = TcpStream::connect(daemon.addr()).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        upgrade(&mut conn);
+        let mut conn = open(&daemon);
 
         // Submit a slow request then a fast one; the fast response must
         // come back FIRST, carrying its own correlation id.
@@ -847,36 +797,22 @@ mod tests {
     }
 
     #[test]
-    fn v1_clients_are_served_by_a_v2_daemon_unchanged() {
-        // The serves_frames test above is exactly this; here we also pin
-        // that v1 responses never carry correlation ids (a v2-framed
-        // response would desync a v1 client's 4-byte header scan).
-        let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Upper), small_cfg()).unwrap();
-        let mut conn = TcpStream::connect(daemon.addr()).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_frame(&mut conn, b"abc", 1024).unwrap();
-        let raw = read_frame(&mut conn, 4096).unwrap().unwrap();
-        // OK envelope + payload, nothing else.
-        assert_eq!(raw, [&[RESP_OK][..], b"ABC"].concat());
-        daemon.shutdown();
-    }
-
-    #[test]
-    fn hello_is_refused_when_v2_disabled() {
-        let cfg = DaemonConfig { enable_v2: false, ..small_cfg() };
+    fn a_first_frame_that_is_not_hello_is_refused_and_closed() {
+        let metrics = ServiceMetrics::new();
+        let cfg = DaemonConfig { metrics: metrics.clone(), ..small_cfg() };
         let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Upper), cfg).unwrap();
         let mut conn = TcpStream::connect(daemon.addr()).unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_frame(&mut conn, &hello_frame(), 1024).unwrap();
+        write_frame(&mut conn, b"abc", 1024).unwrap();
         let resp = read_frame(&mut conn, 4096).unwrap().unwrap();
         match decode_response(&resp).unwrap_err() {
             NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
             other => panic!("expected Remote BadRequest, got {other}"),
         }
-        // The connection stays serviceable on v1.
-        write_frame(&mut conn, b"still v1", 1024).unwrap();
-        let resp = read_frame(&mut conn, 4096).unwrap().unwrap();
-        assert_eq!(decode_response(&resp).unwrap(), b"STILL V1");
+        // The request was never served, and the connection is closed.
+        assert_eq!(read_frame(&mut conn, 4096).unwrap(), None, "EOF after the refusal");
+        let server = metrics.server("net.server");
+        assert_eq!((server.accepted, server.v2_negotiated), (1, 0));
         daemon.shutdown();
     }
 
@@ -887,10 +823,8 @@ mod tests {
         let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Upper), cfg).unwrap();
 
         // Occupy the single slot.
-        let mut first = TcpStream::connect(daemon.addr()).unwrap();
-        first.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_frame(&mut first, b"hold", 1024).unwrap();
-        let resp = read_frame(&mut first, 4096).unwrap().unwrap();
+        let mut first = open(&daemon);
+        let resp = roundtrip(&mut first, 1, b"hold");
         assert_eq!(decode_response(&resp).unwrap(), b"HOLD");
 
         // The second connection is refused with Busy...
@@ -907,8 +841,7 @@ mod tests {
         // accept loop: the first slot keeps serving within bounded time.
         let _stalled = TcpStream::connect(daemon.addr()).unwrap();
         std::thread::sleep(Duration::from_millis(50));
-        write_frame(&mut first, b"alive", 1024).unwrap();
-        let resp = read_frame(&mut first, 4096).unwrap().unwrap();
+        let resp = roundtrip(&mut first, 2, b"alive");
         assert_eq!(decode_response(&resp).unwrap(), b"ALIVE");
         daemon.shutdown();
     }
@@ -924,9 +857,7 @@ mod tests {
             ..DaemonConfig::default()
         };
         let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Sleepy), cfg).unwrap();
-        let mut conn = TcpStream::connect(daemon.addr()).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        upgrade(&mut conn);
+        let mut conn = open(&daemon);
 
         // Flood: 1 worker (sleeping 100 ms) + 1 queue slot; the rest of
         // the burst must come back Busy rather than queueing unboundedly.

@@ -1,13 +1,14 @@
 //! At-most-once execution for mutating requests.
 //!
-//! [`crate::client::Connection`] retries transport failures, which gives
-//! *at-least-once* delivery: a request whose response frame was lost may
-//! already have executed on the server. Reads tolerate that; mutations
-//! should not have to. The fix is the classic idempotency token: the
-//! client tags each logical mutation with a fresh random token, reuses
-//! the *same* token on every retry of that mutation, and the server
-//! remembers recent `(token → response)` pairs — a replayed token gets
-//! the remembered response back without re-executing.
+//! [`crate::PipelinedConnection`] retries and replays requests after
+//! transport failures, which alone would give *at-least-once* delivery:
+//! a request whose response frame was lost may already have executed on
+//! the server. Reads tolerate that; mutations should not have to. The
+//! fix is the classic idempotency token: the client tags each logical
+//! call with a fresh random token, reuses the *same* token on every
+//! retry and replay of that call, and the server remembers recent
+//! `(token → response)` pairs — a replayed token gets the remembered
+//! response back without re-executing.
 //!
 //! The tag rides in front of the normal request payload:
 //!
@@ -16,8 +17,8 @@
 //! ```
 //!
 //! `0xF0` collides with no [`crate::msg::SpRequest`] or
-//! [`crate::msg::DhRequest`] tag, so untagged (read) requests pass
-//! through unchanged and old clients keep working.
+//! [`crate::msg::DhRequest`] tag, so an untagged request (from a raw
+//! load generator, say) passes through unchanged.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;

@@ -11,12 +11,12 @@ use bytes::Bytes;
 use social_puzzles_core::metrics::{ServiceMetrics, ShardContention, StoreCounters};
 use sp_osn::{OsnError, StorageApi, StorageBackend, StorageHost, Url};
 
-use crate::client::{ClientConfig, Connection};
+use crate::client::ClientConfig;
 use crate::daemon::Service;
 use crate::dedup::{strip_idempotency, ReplayCache};
 use crate::error::{code_for, ErrorCode, NetError};
 use crate::msg::{decode_batch_results, encode_batch_results, BatchEntryResult, DhRequest};
-use crate::pipeline::{PipelineConfig, PipelinedConnection, Transport};
+use crate::pipeline::{PipelineConfig, PipelinedConnection};
 use crate::sp::{decode_bytes, decode_string, encode_bytes, encode_string};
 
 /// The DH daemon's request handler, generic over the backend: the
@@ -145,31 +145,26 @@ impl<S: StorageBackend> DhService<S> {
 /// A remote [`StorageApi`] speaking the framed protocol to a DH daemon.
 #[derive(Debug)]
 pub struct DhClient {
-    conn: Transport,
+    conn: PipelinedConnection,
 }
 
 impl DhClient {
-    /// Points a client at a daemon address (sequential transport: one
-    /// request in flight at a time).
+    /// Points a client at a daemon address, one request in flight at a
+    /// time (a depth-1 [`PipelinedConnection`]).
     pub fn connect(addr: SocketAddr, cfg: ClientConfig) -> Self {
-        Self { conn: Transport::Sequential(Connection::new(addr, cfg)) }
+        Self::connect_pipelined(addr, PipelineConfig { client: cfg, depth: 1 })
     }
 
-    /// Like [`DhClient::connect`], but over a [`PipelinedConnection`]:
-    /// up to [`PipelineConfig::depth`] requests in flight on one socket,
-    /// v2-negotiated with automatic v1 fallback.
+    /// Like [`DhClient::connect`], but with up to [`PipelineConfig::depth`]
+    /// requests in flight on one socket.
     pub fn connect_pipelined(addr: SocketAddr, cfg: PipelineConfig) -> Self {
-        Self { conn: Transport::Pipelined(PipelinedConnection::new(addr, cfg)) }
+        Self { conn: PipelinedConnection::new(addr, cfg) }
     }
 
+    /// Every call carries an idempotency token (see [`crate::dedup`]), so
+    /// a retried mutation whose response was lost applies at most once.
     fn call(&self, req: &DhRequest) -> Result<Vec<u8>, NetError> {
         self.conn.call(&req.encode())
-    }
-
-    /// For mutating requests: idempotency-tagged so a retried `Put` whose
-    /// response was lost cannot create a second blob.
-    fn call_mut(&self, req: &DhRequest) -> Result<Vec<u8>, NetError> {
-        self.conn.call_idempotent(&req.encode())
     }
 
     fn url_response(&self, payload: &[u8]) -> Result<Url, OsnError> {
@@ -200,17 +195,17 @@ impl DhClient {
 
 impl StorageApi for DhClient {
     fn reserve(&self) -> Result<Url, OsnError> {
-        let payload = self.call_mut(&DhRequest::Reserve)?;
+        let payload = self.call(&DhRequest::Reserve)?;
         self.url_response(&payload)
     }
 
     fn put(&self, data: Bytes) -> Result<Url, OsnError> {
-        let payload = self.call_mut(&DhRequest::Put { data: data.to_vec() })?;
+        let payload = self.call(&DhRequest::Put { data: data.to_vec() })?;
         self.url_response(&payload)
     }
 
     fn fill(&self, url: &Url, data: Bytes) -> Result<(), OsnError> {
-        self.call_mut(&DhRequest::Fill { url: url.as_str().to_owned(), data: data.to_vec() })?;
+        self.call(&DhRequest::Fill { url: url.as_str().to_owned(), data: data.to_vec() })?;
         Ok(())
     }
 
@@ -220,7 +215,7 @@ impl StorageApi for DhClient {
     }
 
     fn delete(&self, url: &Url) -> Result<(), OsnError> {
-        self.call_mut(&DhRequest::Delete { url: url.as_str().to_owned() })?;
+        self.call(&DhRequest::Delete { url: url.as_str().to_owned() })?;
         Ok(())
     }
 }

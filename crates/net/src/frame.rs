@@ -1,17 +1,19 @@
-//! Length-prefixed framing over a byte stream, in two versions.
+//! Length-prefixed framing over a byte stream.
 //!
-//! **v1**: a 4-byte big-endian payload length, then the payload. One
-//! request (or response) in flight per connection, answered in order.
+//! Every request and response is a **correlation-id frame**
+//! ([`write_frame_v2`]/[`read_frame_v2`]): a 4-byte big-endian payload
+//! length, then an 8-byte big-endian correlation id, then the payload.
+//! The id lets one TCP connection carry many in-flight requests: the
+//! server answers each frame whenever its job completes — out of order —
+//! and the client matches responses back by id.
 //!
-//! **v2**: a 4-byte big-endian payload length, then an 8-byte big-endian
-//! **correlation id**, then the payload. The id lets one TCP connection
-//! carry many in-flight requests: the server answers each frame whenever
-//! its job completes — out of order — and the client matches responses
-//! back by id. Connections start in v1; a client upgrades by sending the
-//! HELLO frame (see [`crate::msg::hello_frame`]), so v1 peers keep
-//! working unchanged.
+//! The id-less form ([`write_frame`]/[`read_frame`]: the length, then the
+//! payload) carries only what is said before correlation ids apply: the
+//! HELLO exchange that opens every connection (see
+//! [`crate::msg::hello_frame`]) and the daemon's refusal of a connection
+//! it will not serve.
 //!
-//! In both versions the length counts **payload bytes only** and is
+//! In both forms the length counts **payload bytes only** and is
 //! validated against a configured cap **before any allocation**, so a
 //! malicious peer sending `FF FF FF FF` cannot make the receiver reserve
 //! 4 GiB — it gets an error (and, server-side, an error frame and a
@@ -27,13 +29,13 @@ use crate::error::NetError;
 /// chooses to share) while still bounding per-connection memory.
 pub const DEFAULT_MAX_FRAME: u32 = 8 * 1024 * 1024;
 
-/// Bytes of framing overhead per v1 message (the length header).
+/// Bytes of the length header (the whole header of an id-less frame).
 pub const FRAME_HEADER_LEN: usize = 4;
 
-/// Bytes of the v2 correlation id.
+/// Bytes of the correlation id.
 pub const CORRELATION_LEN: usize = 8;
 
-/// Bytes of framing overhead per v2 message (length + correlation id).
+/// Bytes of framing overhead per correlation-id frame (length + id).
 pub const FRAME_V2_HEADER_LEN: usize = FRAME_HEADER_LEN + CORRELATION_LEN;
 
 /// Writes every byte of `bufs` with vectored writes (one syscall per
@@ -59,8 +61,8 @@ fn write_all_vectored(w: &mut impl Write, header: &[u8], payload: &[u8]) -> Resu
     Ok(())
 }
 
-/// Writes one v1 frame as a single vectored write (header + payload in
-/// one syscall on the happy path).
+/// Writes one id-less frame as a single vectored write (header + payload
+/// in one syscall on the happy path).
 ///
 /// # Errors
 ///
@@ -75,8 +77,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8], max_frame: u32) -> Result
     write_all_vectored(w, &header, payload)
 }
 
-/// Writes one v2 frame: length, correlation id, payload — one vectored
-/// write.
+/// Writes one correlation-id frame: length, correlation id, payload —
+/// one vectored write.
 ///
 /// # Errors
 ///
@@ -96,8 +98,8 @@ pub fn write_frame_v2(
     write_all_vectored(w, &header, payload)
 }
 
-/// Reads one v1 frame. Returns `Ok(None)` on clean EOF *at a frame
-/// boundary* (the peer hung up between requests — normal connection
+/// Reads one id-less frame. Returns `Ok(None)` on clean EOF *at a frame
+/// boundary* (the peer hung up between frames — normal connection
 /// teardown).
 ///
 /// # Errors
@@ -119,8 +121,8 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Option<Vec<u8>>, 
     Ok(Some(payload))
 }
 
-/// Reads one v2 frame: `Ok(Some((correlation, payload)))`, or `Ok(None)`
-/// on clean EOF at a frame boundary.
+/// Reads one correlation-id frame: `Ok(Some((correlation, payload)))`,
+/// or `Ok(None)` on clean EOF at a frame boundary.
 ///
 /// # Errors
 ///

@@ -6,23 +6,23 @@
 //! (DH). The rest of this workspace models those parties in-process;
 //! this crate puts them on actual sockets:
 //!
-//! * [`frame`] — 4-byte big-endian length-prefixed frames over TCP (v1),
-//!   plus the correlation-id-framed v2 layout for pipelining, with the
-//!   maximum frame size enforced **before** any allocation and
-//!   single-syscall vectored frame writes.
+//! * [`frame`] — correlation-id frames over TCP (length, id, payload),
+//!   with the maximum frame size enforced **before** any allocation and
+//!   single-syscall vectored frame writes; the HELLO exchange that opens
+//!   every connection uses the id-less length-prefixed form.
 //! * [`msg`] — request/response message types for every paper
 //!   subroutine (`Upload`, `DisplayPuzzle`, `AnswerPuzzle`'s output,
-//!   `Verify`, `Access`) plus the DH blob operations and the v1→v2
-//!   HELLO negotiation, with round-trip codecs over `sp-wire`.
+//!   `Verify`, `Access`) plus the DH blob operations and the HELLO
+//!   exchange, with round-trip codecs over `sp-wire`.
 //! * [`daemon`] — a std-only TCP daemon: per-connection reader/writer
-//!   threads around a shared bounded compute pool, out-of-order v2
+//!   threads around a shared bounded compute pool, out-of-order
 //!   response multiplexing, idle-connection reaping, graceful shutdown,
 //!   serving-path metrics.
-//! * [`client`] — a blocking connection with connect/read/write
-//!   timeouts and bounded retry-with-backoff.
-//! * [`pipeline`] — [`PipelinedConnection`]: the v2 client counterpart
-//!   holding N requests in flight on one socket, with per-request
-//!   deadlines and idempotent replay of unacknowledged requests.
+//! * [`client`] — client settings (connect/read/write timeouts, bounded
+//!   retry-with-backoff) and idempotency tokens.
+//! * [`pipeline`] — [`PipelinedConnection`]: the one client, holding up
+//!   to N requests in flight on one socket, with per-request deadlines
+//!   and idempotent replay of unacknowledged requests.
 //! * [`pool`] — the bounded [`BufferPool`] recycling frame payload
 //!   buffers through the daemon's read/compute/write path.
 //! * [`sp`] / [`dh`] — the SP and DH services and their remote clients.
@@ -99,14 +99,14 @@ pub mod pool;
 pub mod ring;
 pub mod sp;
 
-pub use client::{ClientConfig, Connection};
+pub use client::ClientConfig;
 pub use cluster::{ClusterClient, ClusterClientStats, RebalanceStats, Replicator};
 pub use daemon::{Daemon, DaemonConfig, Service};
 pub use dedup::{DedupService, ReplayCache};
 pub use dh::{DhClient, DhService};
 pub use error::{ErrorCode, NetError};
 pub use frame::{DEFAULT_MAX_FRAME, FRAME_HEADER_LEN, FRAME_V2_HEADER_LEN};
-pub use pipeline::{PipelineConfig, PipelinedConnection, Transport};
+pub use pipeline::{PipelineConfig, PipelinedConnection};
 pub use pool::{BufferPool, PooledBuf, DEFAULT_POOL_CAP};
 pub use ring::{key_for_url, parse_ring_spec, HashRing, DEFAULT_VNODES};
 pub use sp::{SpClient, SpService};

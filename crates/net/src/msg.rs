@@ -465,14 +465,13 @@ impl DhRequest {
 }
 
 // ---------------------------------------------------------------------
-// Protocol-version negotiation (v1 -> v2 upgrade)
+// The HELLO exchange that opens every connection
 // ---------------------------------------------------------------------
 
-/// First byte of the HELLO upgrade request. Deliberately outside every
-/// request tag space: SP tags are `0x01..=0x10`, DH tags `0x01..=0x06`,
-/// and the idempotency envelope uses `0xF0` — so a v1 daemon that
-/// receives a HELLO decodes it as an unknown tag and answers
-/// [`ErrorCode::BadRequest`], which the client reads as "stay on v1".
+/// First byte of the HELLO request. Deliberately outside every request
+/// tag space: SP tags are `0x01..=0x10`, DH tags `0x01..=0x06`, and the
+/// idempotency envelope uses `0xF0` — so a HELLO can never be mistaken
+/// for a request, nor a request for a HELLO.
 pub const HELLO_TAG: u8 = 0xF1;
 
 /// Magic bytes after [`HELLO_TAG`], guarding against tag-space collisions
@@ -482,8 +481,8 @@ const HELLO_MAGIC: &[u8; 4] = b"SPv2";
 /// The protocol version HELLO requests (and the ACK confirms).
 pub const PROTOCOL_V2: u8 = 2;
 
-/// Builds the HELLO frame payload a client sends (as a plain v1 frame)
-/// to request the v2 correlation-framed protocol.
+/// Builds the HELLO payload a client sends, in an id-less frame, as the
+/// first frame of every connection.
 pub fn hello_frame() -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + HELLO_MAGIC.len() + 1);
     out.push(HELLO_TAG);
@@ -492,18 +491,18 @@ pub fn hello_frame() -> Vec<u8> {
     out
 }
 
-/// Whether a request frame payload is a HELLO upgrade request.
+/// Whether a request frame payload is a HELLO.
 pub fn is_hello(payload: &[u8]) -> bool {
     payload == hello_frame().as_slice()
 }
 
-/// The OK-response payload a v2-capable daemon answers a HELLO with.
-/// Every frame after this ACK — in both directions — uses v2 framing.
+/// The OK-response payload a daemon answers a HELLO with. Every frame
+/// after this ACK — in both directions — is a correlation-id frame.
 pub fn hello_ack_payload() -> Vec<u8> {
     vec![HELLO_TAG, PROTOCOL_V2]
 }
 
-/// Whether a decoded OK-response payload is the v2 ACK.
+/// Whether a decoded OK-response payload is the HELLO ACK.
 pub fn is_hello_ack(payload: &[u8]) -> bool {
     payload == [HELLO_TAG, PROTOCOL_V2]
 }
@@ -817,8 +816,8 @@ mod tests {
         assert!(is_hello(&hello));
         assert!(!is_hello(&hello[..hello.len() - 1]));
         assert!(!is_hello(&[HELLO_TAG]));
-        // A v1 daemon must reject HELLO as an unknown request, never
-        // misparse it as a real operation or an idempotency envelope.
+        // HELLO must never parse as a real operation or an idempotency
+        // envelope.
         assert!(SpRequest::decode(&hello).is_err());
         assert!(DhRequest::decode(&hello).is_err());
         assert_ne!(HELLO_TAG, crate::dedup::IDEMPOTENCY_TAG);

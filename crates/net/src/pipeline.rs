@@ -1,21 +1,21 @@
-//! A pipelined RPC connection: many requests in flight on one socket.
+//! The RPC client: many requests in flight on one socket.
 //!
-//! [`crate::client::Connection`] is strictly call-and-response — its
-//! throughput on one socket is bounded by `1 / round_trip_time` no
-//! matter how fast the server computes. [`PipelinedConnection`] removes
-//! that bound: it negotiates the v2 protocol (correlation-id frames, see
-//! [`crate::frame`]) and keeps up to [`PipelineConfig::depth`] requests
-//! outstanding, matching responses back by id in whatever order the
-//! server finishes them.
+//! A call-and-response client's throughput on one socket is bounded by
+//! `1 / round_trip_time` no matter how fast the server computes.
+//! [`PipelinedConnection`] removes that bound: it keeps up to
+//! [`PipelineConfig::depth`] requests outstanding on correlation-id
+//! frames (see [`crate::frame`]), matching responses back by id in
+//! whatever order the server finishes them. At depth 1 it is the plain
+//! sequential client that [`crate::SpClient::connect`] and
+//! [`crate::DhClient::connect`] build.
 //!
-//! # Negotiation
+//! # Handshake
 //!
-//! The first exchange on every (re)connect sends the HELLO frame. A v2
-//! daemon acknowledges and the connection switches to correlation-id
-//! framing; a v1 peer answers `BadRequest` (unknown tag) and the
-//! connection falls back to v1 framing — still pipelined, with responses
-//! matched first-in-first-out, which is sound because a v1 server
-//! answers strictly in order.
+//! The first exchange on every (re)connect sends the HELLO frame; the
+//! daemon's ack switches the connection to correlation-id framing. A
+//! daemon that refuses the connection instead — `Busy` at its connection
+//! cap — answers HELLO with that typed error, which the call returns (and
+//! retries, for `Busy`) like any other response.
 //!
 //! # Retry and replay semantics
 //!
@@ -32,7 +32,7 @@
 //! from submission); a request that misses it fails with a timeout
 //! without disturbing the rest of the pipeline.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -40,7 +40,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::client::{next_token, ClientConfig, Connection};
+use crate::client::{next_token, ClientConfig};
 use crate::dedup::wrap_idempotent;
 use crate::error::NetError;
 use crate::frame::{
@@ -54,8 +54,8 @@ const POLL: Duration = Duration::from_millis(25);
 /// Tuning knobs for a [`PipelinedConnection`].
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Socket/retry/framing settings, shared with the sequential client.
-    /// `read_timeout` doubles as the per-request deadline.
+    /// Socket/retry/framing settings. `read_timeout` doubles as the
+    /// per-request deadline.
     pub client: ClientConfig,
     /// Maximum requests in flight at once; further calls wait for a slot.
     pub depth: usize,
@@ -86,12 +86,6 @@ struct Wire {
     /// Write half behind its own lock, serializing frame writes (the
     /// response reader owns a separate clone of the socket).
     writer: Arc<Mutex<TcpStream>>,
-    /// Whether HELLO negotiated v2 framing.
-    v2: bool,
-    /// v1 fallback only: correlation ids in send order, matched FIFO.
-    /// Pushed under the writer lock so the record matches the socket's
-    /// actual frame order; popped by the reader under this lock alone.
-    fifo: Arc<Mutex<VecDeque<u64>>>,
     /// Flipped when this generation is torn down, so its reader exits.
     retired: Arc<AtomicBool>,
 }
@@ -151,20 +145,9 @@ impl PipelinedConnection {
         }
     }
 
-    /// The remote address.
-    pub fn addr(&self) -> SocketAddr {
-        self.inner.addr
-    }
-
     /// The configured pipeline depth.
     pub fn depth(&self) -> usize {
         self.inner.cfg.depth
-    }
-
-    /// Whether the current wire negotiated v2 framing; `None` while
-    /// disconnected.
-    pub fn negotiated_v2(&self) -> Option<bool> {
-        lock(&self.inner).wire.as_ref().map(|w| w.v2)
     }
 
     /// Sends one request and awaits its response, sharing the wire with
@@ -195,19 +178,6 @@ impl PipelinedConnection {
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    /// Alias of [`PipelinedConnection::call`]: every pipelined request
-    /// already carries an idempotency token, so explicitly-idempotent
-    /// calls need nothing extra. Mirrors
-    /// [`crate::client::Connection::call_idempotent`] so the two
-    /// transports are interchangeable.
-    ///
-    /// # Errors
-    ///
-    /// As [`PipelinedConnection::call`].
-    pub fn call_idempotent(&self, request: &[u8]) -> Result<Vec<u8>, NetError> {
-        self.call(request)
     }
 
     /// Submits `requests` through the pipeline with up to `depth`
@@ -357,8 +327,8 @@ impl PipelinedConnection {
             st = lock(inner);
             st.connecting = false;
             inner.cond.notify_all(); // wake parked connectors either way
-            let (stream, v2) = match negotiated {
-                Ok(pair) => pair,
+            let stream = match negotiated {
+                Ok(stream) => stream,
                 Err(e) => return (st, Err(e)),
             };
             if st.closed {
@@ -375,17 +345,12 @@ impl PipelinedConnection {
             let retired = Arc::new(AtomicBool::new(false));
             st.generation += 1;
             let generation = st.generation;
-            let wire = Wire {
-                writer: Arc::new(Mutex::new(stream)),
-                v2,
-                fifo: Arc::new(Mutex::new(VecDeque::new())),
-                retired: Arc::clone(&retired),
-            };
+            let wire = Wire { writer: Arc::new(Mutex::new(stream)), retired: Arc::clone(&retired) };
             st.wire = Some(wire.clone());
 
             let reader_inner = Arc::clone(inner);
             let handle = std::thread::spawn(move || {
-                reader_loop(read_half, &reader_inner, generation, v2, &retired)
+                reader_loop(read_half, &reader_inner, generation, &retired)
             });
             let mut readers = self.readers.lock().unwrap_or_else(PoisonError::into_inner);
             readers.retain(|h| !h.is_finished());
@@ -394,9 +359,8 @@ impl PipelinedConnection {
 
             // Replay unacknowledged requests in correlation order, again
             // with the lock released. A concurrent caller may interleave
-            // a fresh request between replays — sound in both framings:
-            // v2 matches by id, and the v1 FIFO records actual socket
-            // order because it is pushed under the writer lock.
+            // a fresh request between replays — sound, because responses
+            // are matched by id.
             let unacked: Vec<(u64, Vec<u8>)> = st
                 .pending
                 .iter()
@@ -424,78 +388,29 @@ impl PipelinedConnection {
     }
 }
 
-/// Connects and runs the blocking HELLO negotiation. Called with the
-/// state lock released.
-fn connect_and_negotiate(inner: &Inner) -> Result<(TcpStream, bool), NetError> {
+/// Connects and runs the blocking HELLO exchange, returning the stream
+/// ready for correlation-id frames — or the typed error the daemon
+/// answered HELLO with. Called with the state lock released.
+fn connect_and_negotiate(inner: &Inner) -> Result<TcpStream, NetError> {
     let cfg = &inner.cfg.client;
     let mut stream = TcpStream::connect_timeout(&inner.addr, cfg.connect_timeout)?;
     stream.set_nodelay(true)?;
     stream.set_write_timeout(Some(cfg.write_timeout))?;
     stream.set_read_timeout(Some(cfg.read_timeout))?;
 
-    // Negotiate: v2 daemons acknowledge HELLO, v1 peers refuse the
-    // unknown tag — which downgrades, never fails.
     write_frame(&mut stream, &hello_frame(), cfg.max_frame)?;
     let frame =
         read_frame(&mut stream, cfg.max_frame.saturating_add(1024))?.ok_or(NetError::Closed)?;
-    let v2 = match decode_response(&frame) {
-        Ok(payload) => is_hello_ack(payload),
-        Err(NetError::Remote { .. }) => false,
-        Err(e) => return Err(e),
-    };
+    if !is_hello_ack(decode_response(&frame)?) {
+        // An OK answer that is not the ack: not a daemon of this protocol.
+        return Err(NetError::Decode(sp_wire::WireError::BadLength));
+    }
 
     // Short read timeout from here on: the reader polls it to notice
     // retirement (clones share the one socket, so this is set after
     // the blocking HELLO exchange).
     stream.set_read_timeout(Some(POLL))?;
-    Ok((stream, v2))
-}
-
-/// Either client transport — sequential or pipelined — behind one call
-/// surface, so [`crate::SpClient`] and [`crate::DhClient`] run unchanged
-/// over both.
-#[derive(Debug)]
-pub enum Transport {
-    /// One request in flight at a time ([`Connection`]).
-    Sequential(Connection),
-    /// Up to [`PipelineConfig::depth`] requests in flight
-    /// ([`PipelinedConnection`]).
-    Pipelined(PipelinedConnection),
-}
-
-impl Transport {
-    /// The remote address.
-    pub fn addr(&self) -> SocketAddr {
-        match self {
-            Self::Sequential(c) => c.addr(),
-            Self::Pipelined(c) => c.addr(),
-        }
-    }
-
-    /// Sends one request and awaits its response.
-    ///
-    /// # Errors
-    ///
-    /// As [`Connection::call`] / [`PipelinedConnection::call`].
-    pub fn call(&self, request: &[u8]) -> Result<Vec<u8>, NetError> {
-        match self {
-            Self::Sequential(c) => c.call(request),
-            Self::Pipelined(c) => c.call(request),
-        }
-    }
-
-    /// Sends one idempotency-tagged request (at-most-once across
-    /// retries) and awaits its response.
-    ///
-    /// # Errors
-    ///
-    /// As [`Transport::call`].
-    pub fn call_idempotent(&self, request: &[u8]) -> Result<Vec<u8>, NetError> {
-        match self {
-            Self::Sequential(c) => c.call_idempotent(request),
-            Self::Pipelined(c) => c.call_idempotent(request),
-        }
-    }
+    Ok(stream)
 }
 
 impl Drop for PipelinedConnection {
@@ -549,66 +464,25 @@ fn retire_wire_if_current(st: &mut State, wire: &Wire) {
     }
 }
 
-/// Writes one request on `wire`, v2-framed with its correlation id, or
-/// v1-framed and FIFO-recorded in fallback mode. Runs *without* the
-/// state lock; the wire's writer lock serializes frames (and keeps the
-/// v1 FIFO record in actual socket order).
+/// Writes one request on `wire` with its correlation id. Runs *without*
+/// the state lock; the wire's writer lock serializes frames.
 fn send_on_wire(wire: &Wire, request: &[u8], corr: u64, max_frame: u32) -> Result<(), NetError> {
     let mut stream = wire.writer.lock().unwrap_or_else(PoisonError::into_inner);
-    if wire.v2 {
-        write_frame_v2(&mut *stream, corr, request, max_frame)
-    } else {
-        // Record the id *before* the bytes hit the socket: a server fast
-        // enough to answer between the write and a post-write push would
-        // let the reader pop an empty FIFO and retire a healthy wire as
-        // desynced. Pushed-then-failed entries are rolled back below —
-        // still at the back, because we hold the writer lock and the
-        // reader only pops ids whose responses arrived (ours cannot).
-        wire.fifo.lock().unwrap_or_else(PoisonError::into_inner).push_back(corr);
-        let result = write_frame(&mut *stream, request, max_frame);
-        if result.is_err() {
-            let mut fifo = wire.fifo.lock().unwrap_or_else(PoisonError::into_inner);
-            if fifo.back() == Some(&corr) {
-                fifo.pop_back();
-            }
-        }
-        result
-    }
+    write_frame_v2(&mut *stream, corr, request, max_frame)
 }
 
 /// The per-generation response reader: decodes frames, completes pending
 /// entries, and marks the wire dead on transport failure.
-fn reader_loop(
-    mut stream: TcpStream,
-    inner: &Inner,
-    generation: u64,
-    v2: bool,
-    retired: &AtomicBool,
-) {
+fn reader_loop(mut stream: TcpStream, inner: &Inner, generation: u64, retired: &AtomicBool) {
     let cap = inner.cfg.client.max_frame.saturating_add(1024);
     loop {
-        match read_response_polling(&mut stream, cap, v2, retired) {
+        match read_response_polling(&mut stream, cap, retired) {
             Ok(Response::Retired) => return,
             Ok(Response::Frame(corr, payload)) => {
                 let mut st = lock(inner);
                 if st.closed || st.generation != generation {
                     return;
                 }
-                let corr = match corr {
-                    Some(c) => c,
-                    // v1 fallback: responses arrive strictly in send order.
-                    None => match st.wire.as_ref().and_then(|w| {
-                        w.fifo.lock().unwrap_or_else(PoisonError::into_inner).pop_front()
-                    }) {
-                        Some(c) => c,
-                        None => {
-                            // A response nothing was waiting for: desync.
-                            retire_wire(&mut st);
-                            inner.cond.notify_all();
-                            return;
-                        }
-                    },
-                };
                 // An unknown id is a response whose caller already gave up
                 // (deadline) — dropped on the floor by design.
                 if let Some(p) = st.pending.get_mut(&corr) {
@@ -631,8 +505,8 @@ fn reader_loop(
 }
 
 enum Response {
-    /// A response frame; the correlation id is `None` in v1 fallback.
-    Frame(Option<u64>, Vec<u8>),
+    /// A response frame with its correlation id.
+    Frame(u64, Vec<u8>),
     /// Peer closed at a frame boundary.
     Eof,
     /// The retired flag flipped while waiting.
@@ -644,12 +518,10 @@ enum Response {
 fn read_response_polling(
     stream: &mut TcpStream,
     max_frame: u32,
-    v2: bool,
     retired: &AtomicBool,
 ) -> Result<Response, NetError> {
     let mut header = [0u8; FRAME_V2_HEADER_LEN];
-    let header_len = if v2 { FRAME_V2_HEADER_LEN } else { FRAME_HEADER_LEN };
-    match fill_polling(stream, &mut header[..header_len], retired, true)? {
+    match fill_polling(stream, &mut header, retired, true)? {
         Fill::Retired => return Ok(Response::Retired),
         Fill::Eof => return Ok(Response::Eof),
         Fill::Filled => {}
@@ -658,16 +530,12 @@ fn read_response_polling(
     if len > max_frame {
         return Err(NetError::FrameTooLarge { len: u64::from(len), max: max_frame });
     }
+    let corr = u64::from_be_bytes(header[FRAME_HEADER_LEN..].try_into().expect("fixed len"));
     let mut payload = vec![0u8; len as usize];
     match fill_polling(stream, &mut payload, retired, false)? {
         Fill::Retired => Ok(Response::Retired),
         Fill::Eof => Err(NetError::Closed),
-        Fill::Filled => {
-            let corr = v2.then(|| {
-                u64::from_be_bytes(header[FRAME_HEADER_LEN..].try_into().expect("fixed len"))
-            });
-            Ok(Response::Frame(corr, payload))
-        }
+        Fill::Filled => Ok(Response::Frame(corr, payload)),
     }
 }
 
@@ -713,6 +581,9 @@ mod tests {
     use crate::frame::read_frame_v2;
     use crate::msg::{hello_ack_payload, is_hello, ok_frame, RESP_OK};
     use social_puzzles_core::metrics::ServiceMetrics;
+    use std::io::Write;
+    use std::net::TcpListener;
+    use std::sync::atomic::AtomicU32;
 
     /// Sleeps for the request-encoded number of milliseconds, then echoes.
     struct SleepyEcho;
@@ -726,6 +597,35 @@ mod tests {
 
     fn sleepy_daemon(cfg: DaemonConfig) -> Daemon {
         Daemon::spawn("127.0.0.1:0", Arc::new(DedupService::new(SleepyEcho)), cfg).unwrap()
+    }
+
+    /// Answers `Busy` to its first `busy_first` requests, then echoes.
+    struct Flaky {
+        seen: AtomicU32,
+        busy_first: u32,
+    }
+    impl Service for Flaky {
+        fn handle(&self, request: &[u8]) -> Result<Vec<u8>, (ErrorCode, String)> {
+            if self.seen.fetch_add(1, Ordering::SeqCst) < self.busy_first {
+                return Err((ErrorCode::Busy, "warming up".into()));
+            }
+            Ok(request.to_vec())
+        }
+    }
+
+    fn flaky_daemon(busy_first: u32) -> (Daemon, Arc<DedupService<Flaky>>) {
+        let service = Arc::new(DedupService::new(Flaky { seen: AtomicU32::new(0), busy_first }));
+        let daemon =
+            Daemon::spawn("127.0.0.1:0", Arc::clone(&service) as _, DaemonConfig::default())
+                .unwrap();
+        (daemon, service)
+    }
+
+    /// The daemon's side of the HELLO exchange, for hand-rolled servers.
+    fn answer_hello(stream: &mut TcpStream) {
+        let req = read_frame(stream, 1 << 20).unwrap().unwrap();
+        assert!(is_hello(&req));
+        write_frame(stream, &ok_frame(&hello_ack_payload()), 1 << 20).unwrap();
     }
 
     fn quick_cfg(depth: usize) -> PipelineConfig {
@@ -765,7 +665,7 @@ mod tests {
             fast_done - fast_started < Duration::from_millis(90),
             "fast call did not wait behind the slow one"
         );
-        assert_eq!(conn.negotiated_v2(), Some(true));
+        assert_eq!(metrics.server("net.server").v2_negotiated, 1);
         assert!(metrics.server("net.server").out_of_order >= 1);
         drop(conn);
         daemon.shutdown();
@@ -783,20 +683,6 @@ mod tests {
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.as_deref().unwrap(), &requests[i][..], "slot {i}");
         }
-        drop(conn);
-        daemon.shutdown();
-    }
-
-    #[test]
-    fn v1_peers_get_fifo_fallback() {
-        let daemon = sleepy_daemon(DaemonConfig { enable_v2: false, ..Default::default() });
-        let conn = PipelinedConnection::new(daemon.addr(), quick_cfg(4));
-        let requests: Vec<Vec<u8>> = (0..8u8).map(|i| vec![0, i]).collect();
-        let results = conn.call_many(&requests);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r.as_deref().unwrap(), &requests[i][..]);
-        }
-        assert_eq!(conn.negotiated_v2(), Some(false), "fell back to v1");
         drop(conn);
         daemon.shutdown();
     }
@@ -855,19 +741,14 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
-            let hello_exchange = |stream: &mut TcpStream| {
-                let req = read_frame(stream, 1 << 20).unwrap().unwrap();
-                assert!(is_hello(&req));
-                write_frame(stream, &ok_frame(&hello_ack_payload()), 1 << 20).unwrap();
-            };
             // Connection 1: negotiate, swallow one request, hang up.
             let (mut c1, _) = listener.accept().unwrap();
-            hello_exchange(&mut c1);
+            answer_hello(&mut c1);
             let (corr1, req1) = read_frame_v2(&mut c1, 1 << 20).unwrap().unwrap();
             drop(c1);
             // Connection 2: the replay must be byte-identical.
             let (mut c2, _) = listener.accept().unwrap();
-            hello_exchange(&mut c2);
+            answer_hello(&mut c2);
             let (corr2, req2) = read_frame_v2(&mut c2, 1 << 20).unwrap().unwrap();
             assert_eq!(corr2, corr1, "replay reuses the correlation id");
             assert_eq!(req2, req1, "replay reuses the exact bytes (same token)");
@@ -885,5 +766,200 @@ mod tests {
         assert_eq!(conn.call(b"mutate").unwrap(), b"done");
         drop(conn);
         server.join().unwrap();
+    }
+
+    #[test]
+    fn busy_responses_are_retried_until_success() {
+        let (daemon, _) = flaky_daemon(2);
+        let conn = PipelinedConnection::new(daemon.addr(), quick_cfg(1));
+        // retries = 2 → 3 attempts; the first two answer Busy.
+        assert_eq!(conn.call(b"eventually").unwrap(), b"eventually");
+        drop(conn);
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn busy_retries_are_bounded_and_back_off() {
+        let (daemon, service) = flaky_daemon(u32::MAX);
+        let client = ClientConfig {
+            retries: 3,
+            backoff: Duration::from_millis(20),
+            ..ClientConfig::default()
+        };
+        let conn = PipelinedConnection::new(daemon.addr(), PipelineConfig { depth: 1, client });
+        let started = Instant::now();
+        match conn.call(b"always busy").unwrap_err() {
+            NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::Busy),
+            other => panic!("expected Remote Busy, got {other}"),
+        }
+        let elapsed = started.elapsed();
+        // Exactly retries + 1 attempts — bounded, not infinite.
+        assert_eq!(service.inner().seen.load(Ordering::SeqCst), 4);
+        // And the exponential schedule (20 + 40 + 80 ms) was actually
+        // slept through, less scheduler slop.
+        assert!(elapsed >= Duration::from_millis(120), "only waited {elapsed:?}");
+        drop(conn);
+        daemon.shutdown();
+    }
+
+    /// A daemon at its connection cap answers HELLO with `Busy` and
+    /// closes. The call must return that typed refusal — never write a
+    /// request onto the closed socket — after one refusal per attempt.
+    #[test]
+    fn a_refused_hello_returns_the_daemons_busy() {
+        let metrics = ServiceMetrics::new();
+        let daemon = sleepy_daemon(DaemonConfig {
+            max_connections: 1,
+            metrics: metrics.clone(),
+            ..Default::default()
+        });
+        let holder = PipelinedConnection::new(daemon.addr(), quick_cfg(1));
+        assert_eq!(holder.call(&[0, 1]).unwrap(), [0, 1], "holds the only slot");
+
+        let client = ClientConfig {
+            retries: 2,
+            backoff: Duration::from_millis(5),
+            ..ClientConfig::default()
+        };
+        let refused = PipelinedConnection::new(daemon.addr(), PipelineConfig { depth: 1, client });
+        match refused.call(&[0, 2]).unwrap_err() {
+            NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::Busy),
+            other => panic!("expected Remote Busy, got {other}"),
+        }
+        assert_eq!(metrics.server("net.server").busy_rejections, 3, "retries + 1 refusals");
+        drop((refused, holder));
+        daemon.shutdown();
+    }
+
+    /// The first connection answers with a truncated frame (the header
+    /// promises more bytes than arrive) and hangs up: the client treats
+    /// the partial read as a transport error and reconnects, and the
+    /// caller never sees the fault.
+    #[test]
+    fn partial_reads_are_retried_as_transport_errors() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let mut served = 0u32;
+            for stream in listener.incoming() {
+                let mut stream = stream.unwrap();
+                answer_hello(&mut stream);
+                let (corr, req) = read_frame_v2(&mut stream, 1 << 20).unwrap().unwrap();
+                served += 1;
+                if served == 1 {
+                    // Claim an 8-byte payload, deliver 3, hang up.
+                    stream.write_all(&8u32.to_be_bytes()).unwrap();
+                    stream.write_all(&corr.to_be_bytes()).unwrap();
+                    stream.write_all(&[RESP_OK, 0xAA, 0xBB]).unwrap();
+                } else {
+                    let resp = [&[RESP_OK][..], &req].concat();
+                    write_frame_v2(&mut stream, corr, &resp, 1 << 20).unwrap();
+                    break;
+                }
+            }
+            served
+        });
+        let conn = PipelinedConnection::new(addr, quick_cfg(1));
+        let echo = conn.call(b"payload").unwrap();
+        assert_eq!(strip_idempotency(&echo).unwrap().1, b"payload");
+        assert_eq!(server.join().unwrap(), 2);
+    }
+
+    /// A lossy proxy in front of a dedup-wrapped daemon cuts the first
+    /// response mid-frame after the mutation ran upstream. The replay on
+    /// reconnect hits the replay cache: the mutation applies once.
+    #[test]
+    fn lost_response_never_applies_a_mutation_twice() {
+        struct Apply(AtomicU32);
+        impl Service for Apply {
+            fn handle(&self, request: &[u8]) -> Result<Vec<u8>, (ErrorCode, String)> {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                Ok(request.to_vec())
+            }
+        }
+        let service = Arc::new(DedupService::new(Apply(AtomicU32::new(0))));
+        let daemon =
+            Daemon::spawn("127.0.0.1:0", Arc::clone(&service) as _, DaemonConfig::default())
+                .unwrap();
+        let upstream = daemon.addr();
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let proxy_addr = listener.local_addr().unwrap();
+        let proxy = std::thread::spawn(move || {
+            for (i, stream) in listener.incoming().enumerate() {
+                let mut down = stream.unwrap();
+                let mut up = TcpStream::connect(upstream).unwrap();
+                // HELLO and its ack pass through untouched.
+                let hello = read_frame(&mut down, 1 << 20).unwrap().unwrap();
+                write_frame(&mut up, &hello, 1 << 20).unwrap();
+                let ack = read_frame(&mut up, 1 << 20).unwrap().unwrap();
+                write_frame(&mut down, &ack, 1 << 20).unwrap();
+                let (corr, req) = read_frame_v2(&mut down, 1 << 20).unwrap().unwrap();
+                write_frame_v2(&mut up, corr, &req, 1 << 20).unwrap();
+                let (corr, resp) = read_frame_v2(&mut up, 1 << 20).unwrap().unwrap();
+                if i == 0 {
+                    // The mutation HAS executed upstream; now lose most
+                    // of the response on the way back.
+                    down.write_all(&(resp.len() as u32).to_be_bytes()).unwrap();
+                    down.write_all(&corr.to_be_bytes()).unwrap();
+                    down.write_all(&resp[..resp.len() / 2]).unwrap();
+                } else {
+                    write_frame_v2(&mut down, corr, &resp, 1 << 20).unwrap();
+                    break;
+                }
+            }
+        });
+
+        let conn = PipelinedConnection::new(proxy_addr, quick_cfg(1));
+        // The logical mutation succeeds despite the lost response...
+        assert_eq!(conn.call(b"mutate-once").unwrap(), b"mutate-once");
+        drop(conn);
+        proxy.join().unwrap();
+        // ...and was applied exactly once: the replay hit the cache.
+        assert_eq!(service.inner().0.load(Ordering::SeqCst), 1, "mutation applied twice");
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn connect_timeouts_and_refusals_stay_bounded() {
+        let cfg = PipelineConfig {
+            depth: 1,
+            client: ClientConfig {
+                retries: 1,
+                backoff: Duration::from_millis(1),
+                connect_timeout: Duration::from_millis(150),
+                ..ClientConfig::default()
+            },
+        };
+
+        // A port with nothing listening refuses the connect outright.
+        let dead = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let conn = PipelinedConnection::new(dead, cfg.clone());
+        assert!(matches!(conn.call(b"x").unwrap_err(), NetError::Io(_)));
+
+        // A listener whose accept queue is full drops further SYNs, so a
+        // connect to it times out instead — all on loopback. Fill the
+        // queue until a short probe connect times out.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut queued = Vec::new();
+        let probe = loop {
+            match TcpStream::connect_timeout(&addr, Duration::from_millis(100)) {
+                Ok(s) if queued.len() < 1024 => queued.push(s),
+                Ok(_) => panic!("the accept queue never filled"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(probe.kind(), ErrorKind::TimedOut, "a full accept queue drops SYNs");
+        let conn = PipelinedConnection::new(addr, cfg);
+        let started = Instant::now();
+        match conn.call(b"x").unwrap_err() {
+            NetError::Io(e) => assert_eq!(e.kind(), ErrorKind::TimedOut),
+            other => panic!("expected a connect timeout, got {other}"),
+        }
+        // Two attempts × 150 ms + 1 ms backoff, plus generous slop for a
+        // loaded test host — but well under an unbounded hang.
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
     }
 }

@@ -25,7 +25,7 @@ use sp_osn::{
 };
 use sp_wire::Reader;
 
-use crate::client::{ClientConfig, Connection};
+use crate::client::ClientConfig;
 use crate::daemon::Service;
 use crate::dedup::{strip_idempotency, ReplayCache};
 use crate::error::{code_for, ErrorCode, NetError};
@@ -33,7 +33,7 @@ use crate::msg::{
     decode_batch_results, decode_displayed_puzzle, decode_verify_outcome, encode_batch_results,
     encode_displayed_puzzle, encode_verify_outcome, BatchEntryResult, SpRequest, VerifyEntry,
 };
-use crate::pipeline::{PipelineConfig, PipelinedConnection, Transport};
+use crate::pipeline::{PipelineConfig, PipelinedConnection};
 use crate::ring::HashRing;
 
 /// Metrics name of the SP's parsed-puzzle memoization cache.
@@ -478,33 +478,26 @@ impl<P: ProviderBackend> SpService<P> {
 /// daemon, plus the receiver-facing puzzle subroutines.
 #[derive(Debug)]
 pub struct SpClient {
-    conn: Transport,
+    conn: PipelinedConnection,
 }
 
 impl SpClient {
-    /// Points a client at a daemon address (sequential transport: one
-    /// request in flight at a time).
+    /// Points a client at a daemon address, one request in flight at a
+    /// time (a depth-1 [`PipelinedConnection`]).
     pub fn connect(addr: SocketAddr, cfg: ClientConfig) -> Self {
-        Self { conn: Transport::Sequential(Connection::new(addr, cfg)) }
+        Self::connect_pipelined(addr, PipelineConfig { client: cfg, depth: 1 })
     }
 
-    /// Like [`SpClient::connect`], but over a [`PipelinedConnection`]:
-    /// up to [`PipelineConfig::depth`] requests in flight on one socket,
-    /// v2-negotiated with automatic v1 fallback.
+    /// Like [`SpClient::connect`], but with up to [`PipelineConfig::depth`]
+    /// requests in flight on one socket.
     pub fn connect_pipelined(addr: SocketAddr, cfg: PipelineConfig) -> Self {
-        Self { conn: Transport::Pipelined(PipelinedConnection::new(addr, cfg)) }
+        Self { conn: PipelinedConnection::new(addr, cfg) }
     }
 
+    /// Every call carries an idempotency token (see [`crate::dedup`]), so
+    /// a retried mutation whose response was lost applies at most once.
     fn call(&self, req: &SpRequest) -> Result<Vec<u8>, NetError> {
         self.conn.call(&req.encode())
-    }
-
-    /// For mutating requests: same as [`SpClient::call`] but tagged with
-    /// an idempotency token so server-side replay suppression makes the
-    /// retry path at-most-once (a retried `Upload` whose response frame
-    /// was lost must not create a second puzzle).
-    fn call_mut(&self, req: &SpRequest) -> Result<Vec<u8>, NetError> {
-        self.conn.call_idempotent(&req.encode())
     }
 
     /// `DisplayPuzzle`: the SP picks and returns the question subset.
@@ -531,9 +524,7 @@ impl SpClient {
         puzzle: PuzzleId,
         response: &PuzzleResponse,
     ) -> Result<VerifyOutcome, NetError> {
-        // Verify mutates too — it appends to the audit log — so a retry
-        // must not double-log the attempt.
-        let payload = self.call_mut(&SpRequest::Verify {
+        let payload = self.call(&SpRequest::Verify {
             user: user.raw(),
             puzzle: puzzle.raw(),
             response: response.clone(),
@@ -563,7 +554,7 @@ impl SpClient {
                 })
                 .collect(),
         };
-        let payload = self.call_mut(&req)?;
+        let payload = self.call(&req)?;
         decode_batch_outcomes(&payload)
     }
 
@@ -580,7 +571,7 @@ impl SpClient {
         puzzle: PuzzleId,
         responses: &[PuzzleResponse],
     ) -> Result<Vec<Result<VerifyOutcome, NetError>>, NetError> {
-        let payload = self.call_mut(&SpRequest::AnswerPuzzleBatch {
+        let payload = self.call(&SpRequest::AnswerPuzzleBatch {
             user: user.raw(),
             puzzle: puzzle.raw(),
             responses: responses.to_vec(),
@@ -609,7 +600,7 @@ impl SpClient {
     /// this node does not own the key, or a transport error.
     pub fn publish_at(&self, puzzle: PuzzleId, record: Bytes) -> Result<(), NetError> {
         let payload =
-            self.call_mut(&SpRequest::PublishAt { puzzle: puzzle.raw(), record: record.to_vec() })?;
+            self.call(&SpRequest::PublishAt { puzzle: puzzle.raw(), record: record.to_vec() })?;
         decode_u64(&payload)?;
         Ok(())
     }
@@ -629,7 +620,7 @@ impl SpClient {
     /// node serves after the call. Safe to retry — only strictly-higher
     /// epochs are installed.
     pub fn ring_set(&self, ring: &HashRing) -> Result<u64, NetError> {
-        let payload = self.call_mut(&SpRequest::RingSet { ring: ring.encode() })?;
+        let payload = self.call(&SpRequest::RingSet { ring: ring.encode() })?;
         Ok(decode_u64(&payload)?)
     }
 
@@ -637,7 +628,7 @@ impl SpClient {
     /// `Wal::export_frames_after`); returns the replica's new durable
     /// watermark — the ack.
     pub fn replicate(&self, frames: Vec<u8>) -> Result<u64, NetError> {
-        let payload = self.call_mut(&SpRequest::Replicate { frames })?;
+        let payload = self.call(&SpRequest::Replicate { frames })?;
         Ok(decode_u64(&payload)?)
     }
 
@@ -658,20 +649,20 @@ impl SpClient {
 
     /// [`ProviderApi::replace_puzzle`], transport-level errors kept.
     pub fn replace_record(&self, id: PuzzleId, record: Bytes) -> Result<(), NetError> {
-        self.call_mut(&SpRequest::ReplacePuzzle { puzzle: id.raw(), record: record.to_vec() })?;
+        self.call(&SpRequest::ReplacePuzzle { puzzle: id.raw(), record: record.to_vec() })?;
         Ok(())
     }
 
     /// [`ProviderApi::delete_puzzle`], transport-level errors kept.
     pub fn delete_record(&self, id: PuzzleId) -> Result<(), NetError> {
-        self.call_mut(&SpRequest::DeletePuzzle { puzzle: id.raw() })?;
+        self.call(&SpRequest::DeletePuzzle { puzzle: id.raw() })?;
         Ok(())
     }
 }
 
 impl ProviderApi for SpClient {
     fn publish_puzzle(&self, record: Bytes) -> Result<PuzzleId, OsnError> {
-        let payload = self.call_mut(&SpRequest::Upload { record: record.to_vec() })?;
+        let payload = self.call(&SpRequest::Upload { record: record.to_vec() })?;
         Ok(PuzzleId::from_raw(decode_u64(&payload).map_err(NetError::from)?))
     }
 
@@ -681,22 +672,22 @@ impl ProviderApi for SpClient {
     }
 
     fn replace_puzzle(&self, id: PuzzleId, record: Bytes) -> Result<(), OsnError> {
-        self.call_mut(&SpRequest::ReplacePuzzle { puzzle: id.raw(), record: record.to_vec() })?;
+        self.call(&SpRequest::ReplacePuzzle { puzzle: id.raw(), record: record.to_vec() })?;
         Ok(())
     }
 
     fn delete_puzzle(&self, id: PuzzleId) -> Result<(), OsnError> {
-        self.call_mut(&SpRequest::DeletePuzzle { puzzle: id.raw() })?;
+        self.call(&SpRequest::DeletePuzzle { puzzle: id.raw() })?;
         Ok(())
     }
 
     fn log_access(&self, user: UserId, puzzle: PuzzleId, granted: bool) -> Result<(), OsnError> {
-        self.call_mut(&SpRequest::LogAccess { user: user.raw(), puzzle: puzzle.raw(), granted })?;
+        self.call(&SpRequest::LogAccess { user: user.raw(), puzzle: puzzle.raw(), granted })?;
         Ok(())
     }
 
     fn post(&self, author: UserId, text: &str, puzzle: PuzzleId) -> Result<PostId, OsnError> {
-        let payload = self.call_mut(&SpRequest::Post {
+        let payload = self.call(&SpRequest::Post {
             author: author.raw(),
             text: text.to_owned(),
             puzzle: puzzle.raw(),

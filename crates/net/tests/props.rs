@@ -1,5 +1,5 @@
-//! Property-based coverage of the wire framing: v1 and v2 round-trips,
-//! correlation ids, frame-size enforcement, and the HELLO negotiation
+//! Property-based coverage of the wire framing: id-less (HELLO) and
+//! correlation-id round-trips, frame-size enforcement, and the HELLO
 //! payloads, over arbitrary payload bytes and id values.
 
 use std::io::Cursor;

@@ -10,7 +10,10 @@
 //! request transfer and a response transfer each draw their own fault —
 //! which is precisely the failure surface the retry/dedup machinery in
 //! `sp-net` claims to handle: lost requests, lost responses, corrupt
-//! payloads, and connections dying mid-frame.
+//! payloads, and connections dying mid-frame. Each connection's HELLO
+//! exchange passes through untouched and draws no fault; after it the
+//! proxy reads correlation-id frames and corrupts only their payloads,
+//! so a flipped bit never lands in a length or an id.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -21,7 +24,7 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sp_net::frame::FRAME_HEADER_LEN;
+use sp_net::frame::{FRAME_HEADER_LEN, FRAME_V2_HEADER_LEN};
 
 /// What happens to one frame transfer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -305,14 +308,25 @@ fn proxy_connection(
         s.set_read_timeout(Some(POLL))?;
         s.set_write_timeout(Some(Duration::from_secs(5)))?;
     }
+    // HELLO and its ack pass through untouched, drawing no fault.
+    let Some(hello) = read_frame_verbatim(&mut client, FRAME_HEADER_LEN, &shared.stop)? else {
+        return Ok(());
+    };
+    send(&mut server, &hello)?;
+    let Some(ack) = read_frame_verbatim(&mut server, FRAME_HEADER_LEN, &shared.stop)? else {
+        return Ok(());
+    };
+    send(&mut client, &ack)?;
     loop {
-        let Some(request) = read_frame_polling(&mut client, shared)? else {
+        let Some(request) = read_frame_verbatim(&mut client, FRAME_V2_HEADER_LEN, &shared.stop)?
+        else {
             return Ok(()); // client went away (or we are stopping)
         };
         if !transfer(&request, &mut server, shared)? {
             return Ok(()); // fault hung up the forward path
         }
-        let Some(response) = read_frame_polling(&mut server, shared)? else {
+        let Some(response) = read_frame_verbatim(&mut server, FRAME_V2_HEADER_LEN, &shared.stop)?
+        else {
             return Ok(()); // daemon closed (e.g. after a poisoned frame)
         };
         if !transfer(&response, &mut client, shared)? {
@@ -321,20 +335,22 @@ fn proxy_connection(
     }
 }
 
-/// Applies the plan's next fault to one frame headed for `dest`.
-/// Returns `Ok(false)` when the fault closed the connection.
-fn transfer(payload: &[u8], dest: &mut TcpStream, shared: &Shared) -> std::io::Result<bool> {
+/// Applies the plan's next fault to one correlation-id frame (header and
+/// payload, verbatim) headed for `dest`. Returns `Ok(false)` when the
+/// fault closed the connection.
+fn transfer(frame: &[u8], dest: &mut TcpStream, shared: &Shared) -> std::io::Result<bool> {
+    let payload_len = frame.len() - FRAME_V2_HEADER_LEN;
     let fault = {
         let mut plan = shared.plan.lock().unwrap_or_else(|p| p.into_inner());
         match plan.next_fault() {
-            Fault::BitFlip if payload.is_empty() => Fault::Forward,
+            Fault::BitFlip if payload_len == 0 => Fault::Forward,
             Fault::BitFlip => {
-                let (byte, mask) = plan.flip_position(payload.len());
+                let (byte, mask) = plan.flip_position(payload_len);
                 drop(plan);
                 shared.bit_flipped.fetch_add(1, Ordering::SeqCst);
-                let mut corrupt = payload.to_vec();
-                corrupt[byte] ^= mask;
-                write_whole_frame(dest, &corrupt)?;
+                let mut corrupt = frame.to_vec();
+                corrupt[FRAME_V2_HEADER_LEN + byte] ^= mask;
+                send(dest, &corrupt)?;
                 return Ok(true);
             }
             other => other,
@@ -343,22 +359,20 @@ fn transfer(payload: &[u8], dest: &mut TcpStream, shared: &Shared) -> std::io::R
     match fault {
         Fault::Forward => {
             shared.forwarded.fetch_add(1, Ordering::SeqCst);
-            write_whole_frame(dest, payload)?;
+            send(dest, frame)?;
             Ok(true)
         }
         Fault::Delay => {
             shared.delayed.fetch_add(1, Ordering::SeqCst);
             std::thread::sleep(DELAY);
-            write_whole_frame(dest, payload)?;
+            send(dest, frame)?;
             Ok(true)
         }
         Fault::Truncate => {
             shared.truncated.fetch_add(1, Ordering::SeqCst);
-            // Full-length header, half the payload: the receiver commits
-            // to reading `len` bytes and hits EOF in the middle.
-            dest.write_all(&(payload.len() as u32).to_be_bytes())?;
-            dest.write_all(&payload[..payload.len() / 2])?;
-            dest.flush()?;
+            // Full header, half the payload: the receiver commits to
+            // reading `len` bytes and hits EOF in the middle.
+            send(dest, &frame[..FRAME_V2_HEADER_LEN + payload_len / 2])?;
             Ok(false)
         }
         Fault::Drop => {
@@ -369,43 +383,53 @@ fn transfer(payload: &[u8], dest: &mut TcpStream, shared: &Shared) -> std::io::R
     }
 }
 
-fn write_whole_frame(dest: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    dest.write_all(&(payload.len() as u32).to_be_bytes())?;
-    dest.write_all(payload)?;
+fn send(dest: &mut TcpStream, bytes: &[u8]) -> std::io::Result<()> {
+    dest.write_all(bytes)?;
     dest.flush()
 }
 
-/// Reads one frame, polling the stop flag on read timeouts. `None` means
-/// the peer closed at a frame boundary, closed mid-frame, or the proxy
-/// is shutting down — in every case the connection is done.
-fn read_frame_polling(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    if !fill_polling(stream, &mut header, shared)? {
+/// Reads one frame verbatim — its `header_len`-byte header (length
+/// first) and payload — polling `stop` on read timeouts. `None` means
+/// the peer closed or reset (between frames or mid-frame), the frame is
+/// over the proxy's cap, or the proxy is shutting down — in every case
+/// the connection is done.
+pub(crate) fn read_frame_verbatim(
+    stream: &mut TcpStream,
+    header_len: usize,
+    stop: &AtomicBool,
+) -> std::io::Result<Option<Vec<u8>>> {
+    let mut frame = vec![0u8; header_len];
+    if !fill_polling(stream, &mut frame, stop)? {
         return Ok(None);
     }
-    let len = u32::from_be_bytes(header);
+    let len = u32::from_be_bytes(frame[..FRAME_HEADER_LEN].try_into().expect("fixed len"));
     if len > PROXY_MAX_FRAME {
         return Ok(None); // not traffic we proxy; drop the connection
     }
-    let mut payload = vec![0u8; len as usize];
-    if !fill_polling(stream, &mut payload, shared)? {
+    frame.resize(header_len + len as usize, 0);
+    if !fill_polling(stream, &mut frame[header_len..], stop)? {
         return Ok(None);
     }
-    Ok(Some(payload))
+    Ok(Some(frame))
 }
 
-fn fill_polling(stream: &mut TcpStream, buf: &mut [u8], shared: &Shared) -> std::io::Result<bool> {
+fn fill_polling(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    stop: &AtomicBool,
+) -> std::io::Result<bool> {
     let mut filled = 0;
     while filled < buf.len() {
         match stream.read(&mut buf[filled..]) {
             Ok(0) => return Ok(false),
             Ok(n) => filled += n,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stop.load(Ordering::SeqCst) {
+                if stop.load(Ordering::SeqCst) {
                     return Ok(false);
                 }
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => return Ok(false),
             Err(e) => return Err(e),
         }
     }
@@ -417,7 +441,7 @@ mod tests {
     use super::*;
     use sp_net::daemon::{Daemon, DaemonConfig, Service};
     use sp_net::error::ErrorCode;
-    use sp_net::ClientConfig;
+    use sp_net::{ClientConfig, PipelineConfig, PipelinedConnection};
 
     #[test]
     fn plans_are_deterministic_per_seed() {
@@ -441,6 +465,7 @@ mod tests {
     }
 
     /// Echo service over the real daemon, for end-to-end proxy checks.
+    /// It echoes the whole request, idempotency envelope included.
     struct Echo;
     impl Service for Echo {
         fn handle(&self, request: &[u8]) -> Result<Vec<u8>, (ErrorCode, String)> {
@@ -454,13 +479,14 @@ mod tests {
             Daemon::spawn("127.0.0.1:0", std::sync::Arc::new(Echo), DaemonConfig::default())
                 .unwrap();
         let proxy = FaultyProxy::spawn(daemon.addr(), FaultPlan::with_rate(3, 0)).unwrap();
-        let conn = sp_net::client::Connection::new(proxy.addr(), ClientConfig::default());
+        let conn = PipelinedConnection::new(proxy.addr(), PipelineConfig::default());
         for i in 0..10u8 {
-            assert_eq!(conn.call(&[i, i, i]).unwrap(), vec![i, i, i]);
+            let echo = conn.call(&[i, i, i]).unwrap();
+            assert_eq!(sp_net::dedup::strip_idempotency(&echo).unwrap().1, [i, i, i]);
         }
         let counts = proxy.counts();
         assert_eq!(counts.injected(), 0);
-        assert_eq!(counts.forwarded, 20, "10 requests + 10 responses");
+        assert_eq!(counts.forwarded, 20, "10 requests + 10 responses; HELLO is not counted");
         proxy.shutdown();
         daemon.shutdown();
     }
@@ -477,7 +503,7 @@ mod tests {
             backoff: Duration::from_millis(5),
             ..ClientConfig::default()
         };
-        let conn = sp_net::client::Connection::new(proxy.addr(), cfg);
+        let conn = PipelinedConnection::new(proxy.addr(), PipelineConfig { depth: 1, client: cfg });
         let mut ok = 0;
         for i in 0..30u8 {
             // Every call must terminate with either the right echo or a
@@ -486,8 +512,8 @@ mod tests {
                 Ok(echo) => {
                     // A bit-flipped *request* comes back as a faithful
                     // echo of the corrupted bytes; either way the frame
-                    // structure held.
-                    assert_eq!(echo.len(), 16);
+                    // structure held: envelope (9 bytes) + payload.
+                    assert_eq!(echo.len(), 9 + 16);
                     ok += 1;
                 }
                 Err(e) => {

@@ -16,7 +16,7 @@
 //! correlation matching; disconnects exercise replay of unacknowledged
 //! ids with their original idempotency tokens.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -26,6 +26,8 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sp_net::frame::{FRAME_HEADER_LEN, FRAME_V2_HEADER_LEN};
+
+use crate::fault::read_frame_verbatim;
 
 /// What happens to one response frame headed back to the client.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -138,9 +140,6 @@ const POLL: Duration = Duration::from_millis(20);
 
 /// How long a delayed response is held.
 const DELAY: Duration = Duration::from_millis(5);
-
-/// Frames bigger than this are not proxied.
-const PROXY_MAX_FRAME: u32 = 8 * 1024 * 1024;
 
 /// A v2-aware TCP proxy that reorders, delays, and drops **response**
 /// frames on a pipelined connection according to a [`PipePlan`].
@@ -255,13 +254,17 @@ fn proxy_connection(
         s.set_read_timeout(Some(POLL))?;
         s.set_write_timeout(Some(Duration::from_secs(5)))?;
     }
-    // HELLO negotiation passes through untouched, as v1 frames.
+    // The HELLO exchange passes through untouched, as id-less frames.
     let (mut client_r, mut server_r) = (client.try_clone()?, server.try_clone()?);
     let (mut client_w, mut server_w) = (client.try_clone()?, server.try_clone()?);
-    let Some(hello) = read_v1_frame(&mut client_r, shared)? else { return Ok(()) };
+    let Some(hello) = read_frame_verbatim(&mut client_r, FRAME_HEADER_LEN, &shared.stop)? else {
+        return Ok(());
+    };
     server_w.write_all(&hello)?;
     server_w.flush()?;
-    let Some(ack) = read_v1_frame(&mut server_r, shared)? else { return Ok(()) };
+    let Some(ack) = read_frame_verbatim(&mut server_r, FRAME_HEADER_LEN, &shared.stop)? else {
+        return Ok(());
+    };
     client_w.write_all(&ack)?;
     client_w.flush()?;
 
@@ -288,7 +291,7 @@ fn sever(client: &TcpStream, server: &TcpStream) {
 }
 
 fn pipe_requests(from: &mut TcpStream, to: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
-    while let Some(frame) = read_v2_frame(from, shared)? {
+    while let Some(frame) = read_frame_verbatim(from, FRAME_V2_HEADER_LEN, &shared.stop)? {
         to.write_all(&frame)?;
         to.flush()?;
     }
@@ -304,7 +307,7 @@ fn fault_responses(
     // response first makes the held one a reorder.
     let mut held: Option<Vec<u8>> = None;
     loop {
-        let Some(frame) = read_v2_frame(from, shared)? else {
+        let Some(frame) = read_frame_verbatim(from, FRAME_V2_HEADER_LEN, &shared.stop)? else {
             // Upstream closed; flush a held frame rather than lose it to
             // a fault that was only supposed to reorder.
             if let Some(h) = held.take() {
@@ -348,65 +351,6 @@ fn fault_responses(
             to.flush()?;
         }
     }
-}
-
-/// Reads one v1 frame (header + payload) verbatim. `None` on EOF or
-/// proxy shutdown.
-fn read_v1_frame(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<Option<Vec<u8>>> {
-    read_frame_with_header(stream, shared, FRAME_HEADER_LEN)
-}
-
-/// Reads one v2 frame (header + correlation id + payload) verbatim.
-fn read_v2_frame(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<Option<Vec<u8>>> {
-    read_frame_with_header(stream, shared, FRAME_V2_HEADER_LEN)
-}
-
-fn read_frame_with_header(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    header_len: usize,
-) -> std::io::Result<Option<Vec<u8>>> {
-    let mut frame = vec![0u8; header_len];
-    if !fill_polling(stream, &mut frame, shared)? {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes(frame[..FRAME_HEADER_LEN].try_into().expect("fixed len"));
-    if len > PROXY_MAX_FRAME {
-        return Ok(None);
-    }
-    let start = frame.len();
-    frame.resize(start + len as usize, 0);
-    if !fill_polling_at(stream, &mut frame, start, shared)? {
-        return Ok(None);
-    }
-    Ok(Some(frame))
-}
-
-fn fill_polling(stream: &mut TcpStream, buf: &mut [u8], shared: &Shared) -> std::io::Result<bool> {
-    fill_polling_at(stream, buf, 0, shared)
-}
-
-fn fill_polling_at(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    mut filled: usize,
-    shared: &Shared,
-) -> std::io::Result<bool> {
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Ok(false),
-            Ok(n) => filled += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return Ok(false);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == ErrorKind::ConnectionReset => return Ok(false),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
 }
 
 #[cfg(test)]

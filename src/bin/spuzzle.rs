@@ -26,7 +26,7 @@
 //!         --mode verify --threads 4 --requests 200 --batch 16
 //!                                            # Verify-endpoint throughput
 //! spuzzle load --sp 127.0.0.1:7741 --mode verify --pipeline 16 \
-//!         --threads 16 --requests 200        # one multiplexed v2 connection,
+//!         --threads 16 --requests 200        # one multiplexed connection,
 //!                                            # 16 requests in flight
 //! spuzzle serve-sp --addr 127.0.0.1:7741 \
 //!         --ring 127.0.0.1:7741,127.0.0.1:7743,127.0.0.1:7745
@@ -52,8 +52,7 @@
 //!
 //! `--shards 1` on the daemons reproduces the single-lock baseline, so
 //! the sharding + batching speedup is measurable from the CLI alone;
-//! `--no-v2` on the daemons refuses HELLO upgrades, reproducing a
-//! v1-only peer for interop checks; `--data-dir PATH` on the daemons
+//! `--data-dir PATH` on the daemons
 //! swaps the in-memory store for `sp-store`'s durable backend (WAL +
 //! snapshots under `PATH/sp` or `PATH/dh`), replaying any existing log
 //! on boot; `--max-connections` caps how many sockets a daemon holds
@@ -335,7 +334,6 @@ fn cmd_serve(args: &[String], role: Role) -> Result<(), String> {
     if let Some(m) = flag_value(args, "--max-frame") {
         cfg.max_frame = m.parse().map_err(|_| "--max-frame must be a number of bytes")?;
     }
-    cfg.enable_v2 = !args.iter().any(|a| a == "--no-v2");
     if let Some(c) = flag_value(args, "--max-connections") {
         cfg.max_connections = c.parse().map_err(|_| "--max-connections must be a number")?;
     }
@@ -367,7 +365,7 @@ fn cmd_serve(args: &[String], role: Role) -> Result<(), String> {
             ));
             let metrics = service.metrics();
             // Same registry for the serving-path counters (accepted,
-            // v2_negotiated, in-flight/queue peaks, out-of-order), so
+            // HELLOs acked, in-flight/queue peaks, out-of-order), so
             // the exit summary shows them next to the endpoints.
             cfg.metrics = metrics.clone();
             let daemon = Daemon::spawn(addr, Arc::clone(&service) as Arc<dyn Service>, cfg)
@@ -482,8 +480,8 @@ fn cmd_load(args: &[String]) -> Result<(), String> {
         .unwrap_or("2")
         .parse()
         .map_err(|_| "threshold must be a number")?;
-    // > 1 switches to the v2 pipelined client with this many requests in
-    // flight per connection (and, in verify mode, one shared connection).
+    // Requests in flight per connection (and, in verify mode, > 1 makes
+    // every thread share one connection).
     let pipeline: usize = flag_value(args, "--pipeline")
         .unwrap_or("1")
         .parse()
@@ -522,18 +520,11 @@ fn cmd_load(args: &[String]) -> Result<(), String> {
         handles.push(std::thread::spawn(move || -> Result<Lat, String> {
             // One connection pair per thread: requests within a thread
             // are closed-loop (next starts when the previous finishes).
-            let app = if pipeline > 1 {
-                let cfg = || PipelineConfig { depth: pipeline, client: ClientConfig::default() };
-                SocialPuzzleApp::with_backends(
-                    SpClient::connect_pipelined(sp_addr, cfg()),
-                    DhClient::connect_pipelined(dh_addr, cfg()),
-                )
-            } else {
-                SocialPuzzleApp::with_backends(
-                    SpClient::connect(sp_addr, ClientConfig::default()),
-                    DhClient::connect(dh_addr, ClientConfig::default()),
-                )
-            };
+            let cfg = || PipelineConfig { depth: pipeline.max(1), client: ClientConfig::default() };
+            let app = SocialPuzzleApp::with_backends(
+                SpClient::connect_pipelined(sp_addr, cfg()),
+                DhClient::connect_pipelined(dh_addr, cfg()),
+            );
             let c1 = Construction1::new();
             let device = DeviceProfile::pc();
             let mut rng = StdRng::from_entropy();
@@ -669,8 +660,8 @@ fn verify_worker(
 }
 
 /// The `--mode verify` driver. With `--pipeline 1` each thread opens its
-/// own sequential v1 connection; with a deeper pipeline every thread
-/// shares ONE multiplexed v2 connection, so the socket carries up to
+/// own connection, one request in flight; with a deeper pipeline every
+/// thread shares ONE multiplexed connection, so the socket carries up to
 /// `pipeline` requests in flight while the daemon fans them out across
 /// its compute pool.
 fn run_verify_load(
