@@ -9,9 +9,9 @@
 //! answers, threshold `k = 1`).
 //!
 //! The interesting comparison is `verify` at depth 16 against depth 1:
-//! with the daemon's compute pool at 4 threads, pipelining must recover
-//! both the per-request round-trip latency (head-of-line blocking) and
-//! the idle compute (one request at a time can use at most one worker).
+//! pipelining must recover the per-request round-trip latency
+//! (head-of-line blocking) that one request at a time pays, while the
+//! daemon's connection thread answers each arriving burst as one batch.
 //!
 //! Raw loopback has a ~20µs round trip — three orders of magnitude
 //! below the network delays the paper measures (§VIII plots tens of
@@ -53,8 +53,10 @@ use crate::workload::{paper_context, PAPER_K};
 /// added client-observed latency percentiles on every entry; v3 added
 /// the cluster scaling sweep (aggregate depth-64 `Verify` throughput at
 /// 1/2/3 sharded nodes); v4 dropped the sequential-client `mode` and
-/// measures every speedup against the op's depth-1 row.
-pub const NET_BENCH_SCHEMA: &str = "sp-bench/net/v4";
+/// measures every speedup against the op's depth-1 row; v5 dropped
+/// `compute_threads` and the cluster's `workers_per_node`, since the
+/// daemon runs every request on its connection's thread.
+pub const NET_BENCH_SCHEMA: &str = "sp-bench/net/v5";
 
 /// Aggregate 3-node throughput must reach this multiple of the 1-node
 /// figure in a full (non-quick) report — the scale-out floor
@@ -70,8 +72,6 @@ pub struct NetBenchConfig {
     /// Pipeline depths to sweep; 1, the baseline every speedup is
     /// measured against, must be among them.
     pub depths: Vec<usize>,
-    /// Daemon compute-pool threads (the acceptance numbers use 4).
-    pub compute_threads: usize,
     /// Answer-sets per `AnswerPuzzleBatch` frame.
     pub batch: usize,
     /// Context size N for the benchmark puzzle.
@@ -105,7 +105,6 @@ impl Default for NetBenchConfig {
     fn default() -> Self {
         Self {
             depths: vec![1, 4, 16, 64],
-            compute_threads: 4,
             batch: 8,
             n: 5,
             link_delay: Duration::from_millis(1),
@@ -154,8 +153,7 @@ pub struct NetBenchEntry {
 
 /// One tier of the cluster scaling sweep: aggregate `Verify` throughput
 /// through a routed [`ClusterClient`] over `nodes` sharded SP daemons,
-/// each restricted to one compute worker so scale-out — not a wider
-/// pool — is what the ratio measures.
+/// each reached over one connection (so one serving thread per node).
 #[derive(Clone, Debug)]
 pub struct ClusterScaleEntry {
     /// Cluster members behind the consistent-hash ring.
@@ -176,8 +174,6 @@ pub struct ClusterScaleEntry {
 pub struct NetBenchReport {
     /// Whether the reduced CI sweep produced this report.
     pub quick: bool,
-    /// Daemon compute-pool threads used.
-    pub compute_threads: usize,
     /// One-way delay-link latency in milliseconds (0 = raw loopback).
     pub link_delay_ms: f64,
     /// All measurements, grouped by operation then depth.
@@ -309,19 +305,8 @@ impl Rig {
 
     fn boot(cfg: &NetBenchConfig) -> Self {
         let service = SpService::new(ServiceProvider::new(), Construction1::new());
-        let max_depth = cfg.depths.iter().copied().max().unwrap_or(1);
-        let daemon = Daemon::spawn(
-            "127.0.0.1:0",
-            Arc::new(service),
-            DaemonConfig {
-                workers: cfg.compute_threads.max(1),
-                // Headroom over the deepest pipeline so overload retries
-                // don't pollute the measurement.
-                queue_depth: (max_depth * 2).max(64),
-                ..DaemonConfig::default()
-            },
-        )
-        .expect("bind ephemeral port");
+        let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(service), DaemonConfig::default())
+            .expect("bind ephemeral port");
 
         // Publish one paper-shaped puzzle and solve it once; every
         // measured Verify replays this known-good response.
@@ -448,11 +433,7 @@ fn cluster_sweep(cfg: &NetBenchConfig) -> Vec<ClusterScaleEntry> {
                 let daemon = Daemon::spawn(
                     "127.0.0.1:0",
                     Arc::clone(&service) as Arc<dyn Service>,
-                    DaemonConfig {
-                        workers: 1,
-                        queue_depth: (depth * 2).max(64),
-                        ..DaemonConfig::default()
-                    },
+                    DaemonConfig::default(),
                 )
                 .expect("bind cluster member");
                 let link = (!cfg.link_delay.is_zero())
@@ -531,7 +512,6 @@ pub fn run(cfg: &NetBenchConfig) -> NetBenchReport {
     let cluster = cluster_sweep(cfg);
     NetBenchReport {
         quick: cfg.quick,
-        compute_threads: cfg.compute_threads.max(1),
         link_delay_ms,
         entries,
         cluster,
@@ -586,7 +566,6 @@ pub fn to_json(report: &NetBenchReport) -> String {
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{NET_BENCH_SCHEMA}\",\n"));
     out.push_str(&format!("  \"quick\": {},\n", report.quick));
-    out.push_str(&format!("  \"compute_threads\": {},\n", report.compute_threads));
     out.push_str(&format!("  \"link_delay_ms\": {},\n", num(report.link_delay_ms)));
     out.push_str("  \"entries\": [\n");
     for (i, e) in report.entries.iter().enumerate() {
@@ -603,7 +582,6 @@ pub fn to_json(report: &NetBenchReport) -> String {
     }
     out.push_str("  ],\n");
     out.push_str("  \"cluster\": {\n");
-    out.push_str("    \"workers_per_node\": 1,\n");
     out.push_str(&format!("    \"window_per_node\": {},\n", report.cluster_window));
     out.push_str("    \"entries\": [\n");
     for (i, e) in report.cluster.iter().enumerate() {
@@ -627,9 +605,8 @@ pub fn to_json(report: &NetBenchReport) -> String {
 pub fn render(report: &NetBenchReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "serving path over a {:.1}ms-each-way link, {} daemon compute threads: requests/s per \
-         socket\n",
-        report.link_delay_ms, report.compute_threads
+        "serving path over a {:.1}ms-each-way link: requests/s per socket\n",
+        report.link_delay_ms
     ));
     out.push_str(&format!(
         "{:<20} {:>6} {:>12} {:>9} {:>9} {:>12}\n",
@@ -692,7 +669,6 @@ pub fn validate_json(doc: &str) -> Result<(), String> {
         }
     }
     for field in [
-        "\"compute_threads\":",
         "\"link_delay_ms\":",
         "\"depth\":",
         "\"ops_per_s\":",
@@ -739,7 +715,6 @@ mod tests {
     fn tiny() -> NetBenchConfig {
         NetBenchConfig {
             depths: vec![1, 4],
-            compute_threads: 2,
             batch: 2,
             n: 2,
             link_delay: Duration::ZERO,
@@ -807,7 +782,6 @@ mod tests {
     fn validator_rejects_mangled_documents() {
         let report = NetBenchReport {
             quick: true,
-            compute_threads: 4,
             link_delay_ms: 1.0,
             entries: vec![
                 entry("verify", 1, 10.0),
@@ -823,7 +797,7 @@ mod tests {
         let json = to_json(&report);
         validate_json(&json).unwrap();
         assert!(validate_json(&json[..json.len() - 4]).is_err(), "truncated");
-        assert!(validate_json(&json.replace("net/v4", "net/v9")).is_err(), "wrong schema");
+        assert!(validate_json(&json.replace("net/v5", "net/v9")).is_err(), "wrong schema");
         assert!(validate_json(&json.replace("\"verify\"", "\"vrfy\"")).is_err(), "missing op");
         assert!(
             validate_json(&json.replace("\"depth\": 1,", "\"depth\": 2,")).is_err(),
@@ -858,7 +832,6 @@ mod tests {
     fn full_reports_must_meet_the_cluster_scaling_floor() {
         let mut report = NetBenchReport {
             quick: false,
-            compute_threads: 4,
             link_delay_ms: 1.0,
             entries: vec![
                 entry("verify", 1, 10.0),
@@ -892,7 +865,6 @@ mod tests {
     fn speedup_is_relative_to_the_depth1_row() {
         let report = NetBenchReport {
             quick: true,
-            compute_threads: 4,
             link_delay_ms: 1.0,
             entries: vec![entry("verify", 1, 10.0), entry("verify", 16, 35.0)],
             cluster: Vec::new(),

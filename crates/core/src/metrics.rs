@@ -226,30 +226,28 @@ impl From<sp_pairing::CryptoStats> for CryptoCounters {
 }
 
 /// Serving-path counters for one daemon component (e.g. `"sp.server"`):
-/// how deep the shared compute pool runs and how often the pipelined
-/// write path reorders responses.
+/// connections, the requests they have in flight, and how large the
+/// batches each connection thread serves at once run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerCounters {
-    /// Connections accepted and handed to a connection reader.
+    /// Connections accepted and given their thread.
     pub accepted: u64,
-    /// Connections (or pipelined requests) refused with `Busy`.
+    /// Connections refused with `Busy` at the connection limit.
     pub busy_rejections: u64,
     /// Connections whose HELLO was acknowledged (every connection the
     /// daemon goes on to serve).
     pub v2_negotiated: u64,
-    /// Jobs currently submitted to the compute pool and not yet answered.
+    /// Requests read and not yet answered, summed over connections.
     pub in_flight: u64,
     /// Highest `in_flight` ever observed.
     pub in_flight_peak: u64,
-    /// Jobs currently queued in the compute pool (submitted, not started).
-    pub queue_depth: u64,
-    /// Highest `queue_depth` ever observed.
+    /// The most requests one connection served as a single batch.
     pub queue_peak: u64,
-    /// Responses written after a response to a *later* request on the
-    /// same connection — pipelined out-of-order completions.
-    pub out_of_order: u64,
+    /// Bytes the open connections' read and write buffers hold between
+    /// batches (a gauge).
+    pub buffer_bytes: u64,
     /// Connections closed after the idle timeout with no bytes received
-    /// and no request in flight.
+    /// while the daemon waited for their next request.
     pub idle_reaped: u64,
     /// The consistent-hash ring epoch this node currently serves (gauge;
     /// 0 when the node is not clustered).
@@ -401,41 +399,36 @@ impl ServiceMetrics {
         self.with(|st| st.servers.entry(component.to_owned()).or_default().v2_negotiated += 1);
     }
 
-    /// Records one `Busy` refusal (connection or pipelined request).
+    /// Records one connection refused with `Busy`.
     pub fn server_busy_rejection(&self, component: &str) {
         self.with(|st| st.servers.entry(component.to_owned()).or_default().busy_rejections += 1);
     }
 
-    /// Records one job entering the shared compute pool's queue.
-    pub fn server_job_enqueued(&self, component: &str) {
+    /// Records a connection starting to serve a batch of `requests`.
+    pub fn server_batch_started(&self, component: &str, requests: u64) {
         self.with(|st| {
             let c = st.servers.entry(component.to_owned()).or_default();
-            c.in_flight += 1;
+            c.in_flight += requests;
             c.in_flight_peak = c.in_flight_peak.max(c.in_flight);
-            c.queue_depth += 1;
-            c.queue_peak = c.queue_peak.max(c.queue_depth);
+            c.queue_peak = c.queue_peak.max(requests);
         });
     }
 
-    /// Records one queued job being claimed by a compute worker.
-    pub fn server_job_started(&self, component: &str) {
+    /// Records a batch of `requests` answered (or abandoned), after
+    /// which its connection's buffers went from `buffers_before` bytes
+    /// (as last reported) to `buffers_after`.
+    pub fn server_batch_finished(
+        &self,
+        component: &str,
+        requests: u64,
+        buffers_before: u64,
+        buffers_after: u64,
+    ) {
         self.with(|st| {
             let c = st.servers.entry(component.to_owned()).or_default();
-            c.queue_depth = c.queue_depth.saturating_sub(1);
+            c.in_flight = c.in_flight.saturating_sub(requests);
+            c.buffer_bytes = (c.buffer_bytes + buffers_after).saturating_sub(buffers_before);
         });
-    }
-
-    /// Records one job finishing (its response handed to the writer).
-    pub fn server_job_finished(&self, component: &str) {
-        self.with(|st| {
-            let c = st.servers.entry(component.to_owned()).or_default();
-            c.in_flight = c.in_flight.saturating_sub(1);
-        });
-    }
-
-    /// Records one response written out of submission order.
-    pub fn server_out_of_order(&self, component: &str) {
-        self.with(|st| st.servers.entry(component.to_owned()).or_default().out_of_order += 1);
     }
 
     /// Records one connection closed by the idle timeout.
@@ -575,15 +568,14 @@ impl fmt::Display for ServiceMetrics {
             writeln!(
                 f,
                 "{name} server: {} accepted ({} v2, {} busy), in-flight {} (peak {}), \
-                 queued {} (peak {}), {} out-of-order, {} idle-reaped",
+                 largest batch {}, {} buffered bytes, {} idle-reaped",
                 c.accepted,
                 c.v2_negotiated,
                 c.busy_rejections,
                 c.in_flight,
                 c.in_flight_peak,
-                c.queue_depth,
                 c.queue_peak,
-                c.out_of_order,
+                c.buffer_bytes,
                 c.idle_reaped
             )?;
             if c.is_clustered() {
@@ -753,7 +745,7 @@ mod tests {
     }
 
     #[test]
-    fn server_counters_track_pool_depth_and_reordering() {
+    fn server_counters_track_batches_and_buffers() {
         let m = ServiceMetrics::new();
         assert_eq!(m.server("sp.server"), ServerCounters::default());
         m.server_conn_accepted("sp.server");
@@ -761,27 +753,26 @@ mod tests {
         m.server_v2_negotiated("sp.server");
         m.server_v2_negotiated("sp.server");
         m.server_busy_rejection("sp.server");
-        m.server_job_enqueued("sp.server");
-        m.server_job_enqueued("sp.server");
-        m.server_job_started("sp.server");
-        m.server_job_finished("sp.server");
-        m.server_out_of_order("sp.server");
+        m.server_batch_started("sp.server", 3);
+        m.server_batch_started("sp.server", 2);
+        m.server_batch_finished("sp.server", 3, 0, 100);
         m.server_idle_reaped("sp.server");
         let c = m.server("sp.server");
         assert_eq!(c.accepted, 2);
         assert_eq!(c.v2_negotiated, 2);
         assert_eq!(c.busy_rejections, 1);
-        assert_eq!((c.in_flight, c.in_flight_peak), (1, 2));
-        assert_eq!((c.queue_depth, c.queue_peak), (1, 2));
-        assert_eq!(c.out_of_order, 1);
+        assert_eq!((c.in_flight, c.in_flight_peak), (2, 5));
+        assert_eq!(c.queue_peak, 3, "the largest single batch");
+        assert_eq!(c.buffer_bytes, 100);
         assert_eq!(c.idle_reaped, 1);
-        // Finishing below zero saturates rather than wrapping.
-        m.server_job_finished("sp.server");
-        m.server_job_finished("sp.server");
-        assert_eq!(m.server("sp.server").in_flight, 0);
+        // A connection's buffers shrink back, then it closes.
+        m.server_batch_finished("sp.server", 2, 100, 40);
+        assert_eq!((m.server("sp.server").in_flight, m.server("sp.server").buffer_bytes), (0, 40));
+        m.server_batch_finished("sp.server", 0, 40, 0); // the connection closes
+        assert_eq!(m.server("sp.server").buffer_bytes, 0);
         let shown = m.to_string();
         assert!(shown.contains("sp.server server: 2 accepted (2 v2, 1 busy)"));
-        assert!(shown.contains("1 out-of-order, 1 idle-reaped"));
+        assert!(shown.contains("largest batch 3, 0 buffered bytes, 1 idle-reaped"));
         assert!(!shown.contains("cluster:"), "non-clustered nodes print no cluster line");
     }
 

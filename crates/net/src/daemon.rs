@@ -1,74 +1,78 @@
 //! A pipelined, multiplexed TCP daemon: the scaffolding both the SP and
 //! DH services run on.
 //!
-//! Built entirely on `std::net`. Each accepted connection is split into
-//! a **reader** thread (decodes request frames) and a **writer** thread
-//! (sends response frames); the actual work runs on a **shared compute
-//! pool** ([`sp_par::WorkerPool`]) whose size is independent of the
-//! connection count — a thousand mostly-idle clients cost two parked
-//! threads each, not a pinned worker.
+//! Built entirely on `std::net`, with one thread per connection, and
+//! that thread is the only place the connection's requests run: a
+//! request costs no hand-off between threads.
 //!
 //! Every connection opens with the HELLO exchange (see
 //! [`crate::msg::hello_frame`]): the first frame must be HELLO, and the
-//! daemon's ack switches both directions to correlation-id framing. From
-//! then on the reader keeps decoding while jobs compute, and the writer
-//! sends each response the moment its job completes — out of order,
-//! matched by id — so one slow `Access`/`VerifyBatch` never stalls the
-//! connection. Any other first frame is refused with
-//! [`ErrorCode::BadRequest`] and the connection closed.
+//! daemon's ack switches both directions to correlation-id framing. Any
+//! other first frame is refused with [`ErrorCode::BadRequest`] and the
+//! connection closed. Then the thread serves **batches** (bytes that
+//! arrived behind the HELLO belong to the first one):
 //!
-//! Frame payload buffers are recycled through a [`BufferPool`] on both
-//! the read and write paths, so steady-state serving performs no
-//! per-request frame allocations.
+//! 1. it reads whatever bytes have arrived into the connection's buffer;
+//! 2. it handles every complete frame in arrival order, inside one
+//!    [`sp_osn::group_commit`] scope, appending each response to one
+//!    output buffer;
+//! 3. it waits once for everything the batch logged to become durable
+//!    (a durable store defers its fsync waits to the scope's end, so one
+//!    fsync covers a pipelined burst);
+//! 4. it answers the whole batch with one write — or, if that wait
+//!    failed, writes nothing of the batch and closes.
+//!
+//! So one connection's responses come back in request order (clients
+//! still match them by id), and both buffers return to at most
+//! [`RETAINED_BUFFER`] bytes after each batch.
 //!
 //! Overload and abuse behave predictably:
 //!
-//! * beyond the connection limit, the accept loop answers with a
-//!   [`ErrorCode::Busy`] error frame and closes — with read *and* write
-//!   timeouts set **before** the answer, so a stalled peer cannot wedge
-//!   the accept loop;
-//! * a full compute queue answers the individual request with `Busy`
-//!   (retryable) instead of buffering unboundedly;
-//! * an oversized frame gets an [`ErrorCode::FrameTooLarge`] error frame
-//!   and a closed connection — the length prefix is rejected before any
-//!   allocation, so the daemon itself is never at risk;
+//! * beyond the connection limit, the accept loop answers
+//!   [`ErrorCode::Busy`] and closes, with read *and* write timeouts set
+//!   **before** the answer, so a stalled peer cannot wedge it;
+//! * there is no request queue to overflow: the socket buffer is the
+//!   queue, and TCP back-pressure holds a sender that outruns its thread;
+//! * an oversized frame's length prefix is refused before any
+//!   allocation: the frames before it are answered, then
+//!   [`ErrorCode::FrameTooLarge`] with its correlation id, then a close;
 //! * a connection that sends no bytes for [`DaemonConfig::idle_timeout`]
-//!   while none of its requests is in flight is closed, so half-open
-//!   sockets (a slow-loris header fragment, a vanished peer) cannot hold
-//!   connection slots forever. The check rides the reader's read-timeout
-//!   tick, so it costs nothing while bytes flow.
+//!   (the socket's read timeout) while its thread waits for the next
+//!   request is closed, so half-open sockets cannot hold slots forever;
+//! * a panicking handler closes only its own connection.
 //!
-//! Graceful shutdown works by flipping an atomic flag: the accept loop
-//! notices on its next poll and joins the connection threads, whose
-//! readers — which poll their sockets with a short read timeout
-//! precisely so they can notice — drain and exit; dropping the compute
-//! pool finishes accepted jobs and joins the workers.
+//! Shutdown flips a flag the accept loop polls; it then shuts down the
+//! read side of every live connection, so each thread answers the batch
+//! it is handling, reads EOF and exits at once, and joins them all.
 
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use social_puzzles_core::metrics::ServiceMetrics;
-use sp_par::WorkerPool;
+use sp_osn::group_commit;
 
 use crate::error::{ErrorCode, NetError};
 use crate::frame::{
-    write_frame, write_frame_v2, DEFAULT_MAX_FRAME, FRAME_HEADER_LEN, FRAME_V2_HEADER_LEN,
+    read_frame, write_frame, DEFAULT_MAX_FRAME, FRAME_HEADER_LEN, FRAME_V2_HEADER_LEN,
 };
 use crate::msg::{err_frame, hello_ack_payload, is_hello, ok_frame, RESP_OK};
-use crate::pool::{BufferPool, PooledBuf, DEFAULT_POOL_CAP};
+
+/// The most bytes a connection's read or write buffer keeps between
+/// batches; a larger frame grows it only while that frame passes.
+pub const RETAINED_BUFFER: usize = 64 * 1024;
 
 /// How a service handles one decoded request frame.
 ///
 /// Implementations decode the payload themselves (so the daemon stays
 /// protocol-agnostic) and return either a response payload or an error
 /// code + detail, which the daemon wraps into the shared response
-/// envelope. Handlers run on the shared compute pool and must therefore
-/// be `Send + Sync`; they may be invoked for many connections at once.
+/// envelope. Each connection's thread calls its handler, so handlers
+/// must be `Send + Sync`; they may be invoked for many connections at
+/// once, and for one connection one request at a time, in arrival order.
 pub trait Service: Send + Sync + 'static {
     /// Handles one request frame payload.
     ///
@@ -81,53 +85,40 @@ pub trait Service: Send + Sync + 'static {
 /// Tuning knobs for a [`Daemon`].
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
-    /// Compute-pool worker threads, shared by every connection. This is
-    /// the daemon's CPU budget — it does **not** bound how many
-    /// connections may be open.
-    pub workers: usize,
-    /// Compute-pool job queue depth; a request arriving while every slot
-    /// is taken is answered with [`ErrorCode::Busy`] (retryable).
-    pub queue_depth: usize,
     /// Concurrent-connection limit; beyond it, new connections are
     /// answered with [`ErrorCode::Busy`] and closed. Each open
-    /// connection costs two threads (reader + writer).
+    /// connection costs one thread.
     pub max_connections: usize,
     /// Maximum request frame size (checked before allocation).
     pub max_frame: u32,
-    /// Accept-loop poll interval while idle.
+    /// Accept-loop poll interval while idle, and so the delay before a
+    /// shutdown is noticed.
     pub poll_interval: Duration,
-    /// Reader socket read timeout — the shutdown-notice latency, and the
-    /// granularity of the idle check.
-    pub read_timeout: Duration,
-    /// Writer socket write timeout.
+    /// Socket write timeout for a batch's answer.
     pub write_timeout: Duration,
-    /// Idle frame buffers retained by the recycling pool.
-    pub buffer_pool: usize,
-    /// Sink for serving-path counters (accepted/busy/in-flight/queue
-    /// depth/out-of-order), recorded under [`DaemonConfig::component`].
-    /// Pass the service's own registry to see them next to the
-    /// per-endpoint counters; the default is a detached registry.
+    /// Sink for serving-path counters (accepted, busy, in-flight and
+    /// batch peaks, idle-reaped, buffered bytes), recorded under
+    /// [`DaemonConfig::component`]. Pass the service's own registry to
+    /// see them next to the per-endpoint counters; the default is a
+    /// detached registry.
     pub metrics: ServiceMetrics,
     /// Metrics component name for the serving-path counters.
     pub component: String,
-    /// A connection that has received no bytes for this long, with none
-    /// of its requests in flight, is closed (within two read-timeout
-    /// ticks) and counted as `idle_reaped`. Generous by default so
-    /// ordinary clients never notice.
+    /// A connection that has sent no bytes for this long while the
+    /// daemon waits for its next request is closed and counted as
+    /// `idle_reaped`. It is the socket's read timeout, so it costs
+    /// nothing while bytes flow. Generous by default so ordinary
+    /// clients never notice.
     pub idle_timeout: Duration,
 }
 
 impl Default for DaemonConfig {
     fn default() -> Self {
         Self {
-            workers: 4,
-            queue_depth: 64,
             max_connections: 64,
             max_frame: DEFAULT_MAX_FRAME,
             poll_interval: Duration::from_millis(5),
-            read_timeout: Duration::from_millis(50),
             write_timeout: Duration::from_secs(5),
-            buffer_pool: DEFAULT_POOL_CAP,
             metrics: ServiceMetrics::default(),
             component: "net.server".to_owned(),
             idle_timeout: Duration::from_secs(300),
@@ -145,8 +136,7 @@ pub struct Daemon {
 
 impl Daemon {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the accept loop, the shared compute pool, and the
-    /// per-connection reader/writer machinery.
+    /// starts the accept loop, which gives every connection its thread.
     ///
     /// # Errors
     ///
@@ -160,14 +150,11 @@ impl Daemon {
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let shared = Arc::new(Shared {
-            service,
-            pool: WorkerPool::new(cfg.workers, cfg.queue_depth),
-            buffers: BufferPool::new(cfg.buffer_pool),
-            stop: Arc::clone(&stop),
-            cfg,
-        });
-        let accept = std::thread::spawn(move || accept_loop(listener, &shared));
+        let shared = Arc::new(Shared { service, cfg });
+        let accept = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || accept_loop(&listener, &shared, &stop))
+        };
         Ok(Self { addr: local, stop, accept: Some(accept) })
     }
 
@@ -176,8 +163,8 @@ impl Daemon {
         self.addr
     }
 
-    /// Signals shutdown and joins every thread. In-flight requests
-    /// finish; idle connections are dropped within the read timeout.
+    /// Signals shutdown and joins every thread. Each connection answers
+    /// the batch it is handling, then closes.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -199,43 +186,59 @@ impl Drop for Daemon {
 /// Everything a connection thread needs, shared across all of them.
 struct Shared {
     service: Arc<dyn Service>,
-    pool: WorkerPool,
-    buffers: BufferPool,
-    stop: Arc<AtomicBool>,
     cfg: DaemonConfig,
 }
 
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stop: &AtomicBool) {
     let cfg = &shared.cfg;
     let active = Arc::new(AtomicUsize::new(0));
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                conns.retain(|h| !h.is_finished());
-                if active.load(Ordering::SeqCst) >= cfg.max_connections.max(1) {
-                    busy_reject(stream, cfg);
-                    continue;
-                }
-                active.fetch_add(1, Ordering::SeqCst);
-                cfg.metrics.server_conn_accepted(&cfg.component);
-                let shared = Arc::clone(shared);
-                let active = Arc::clone(&active);
-                conns.push(std::thread::spawn(move || {
-                    serve_connection(stream, &shared);
-                    active.fetch_sub(1, Ordering::SeqCst);
-                }));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(cfg.poll_interval),
-            Err(_) => std::thread::sleep(cfg.poll_interval),
+    // Each live connection's thread, and a second handle on its socket
+    // to end a blocked read at shutdown.
+    let mut live: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
+    while !stop.load(Ordering::SeqCst) {
+        live.retain(|(thread, _)| !thread.is_finished());
+        let Ok((stream, _peer)) = listener.accept() else {
+            std::thread::sleep(cfg.poll_interval);
+            continue;
+        };
+        if active.load(Ordering::SeqCst) >= cfg.max_connections.max(1) {
+            busy_reject(stream, cfg);
+            continue;
         }
+        // A connection shutdown could not reach is refused.
+        let Ok(socket) = stream.try_clone() else { continue };
+        active.fetch_add(1, Ordering::SeqCst);
+        cfg.metrics.server_conn_accepted(&cfg.component);
+        let slot = Slot { stream, active: Arc::clone(&active) };
+        let shared = Arc::clone(shared);
+        let thread = std::thread::spawn(move || {
+            let mut slot = slot;
+            serve_connection(&mut slot.stream, &shared);
+        });
+        live.push((thread, socket));
     }
-    for h in conns {
-        let _ = h.join();
+    for (_, socket) in &live {
+        let _ = socket.shutdown(Shutdown::Read);
     }
-    // `shared`'s compute pool drops with the caller's Arc once every
-    // connection thread is gone, draining accepted jobs and joining the
-    // workers.
+    for (thread, _) in live {
+        let _ = thread.join();
+    }
+}
+
+/// A connection's stream and its place under the connection limit.
+/// Dropping it — after a normal close or a panicking handler alike —
+/// closes the socket (the accept loop's second handle would otherwise
+/// keep it open) and gives the place back.
+struct Slot {
+    stream: TcpStream,
+    active: Arc<AtomicUsize>,
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.active.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Refuses a connection beyond the limit. Read *and* write timeouts go
@@ -250,308 +253,245 @@ fn busy_reject(mut stream: TcpStream, cfg: &DaemonConfig) {
         write_frame(&mut stream, &err_frame(ErrorCode::Busy, "connection limit"), cfg.max_frame);
 }
 
-/// One response on its way to a connection's writer thread.
-struct Reply {
-    /// Correlation id of the request it answers.
-    corr: u64,
-    /// Submission order on this connection, for out-of-order accounting.
-    seq: u64,
-    frame: PooledBuf,
-}
-
-/// A connection's answer path, shared by its reader and every job it
-/// submits. The writer exits once the last clone drops.
-struct Replies {
-    tx: Sender<Reply>,
-    /// Jobs submitted and not yet answered: a peer waiting on a slow
-    /// request is not idle.
-    in_flight: AtomicUsize,
-}
-
-fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+fn serve_connection(stream: &mut TcpStream, shared: &Shared) {
     let cfg = &shared.cfg;
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(cfg.read_timeout));
+    // A zero timeout means "reap at once"; the socket API needs > 0.
+    let _ = stream.set_read_timeout(Some(cfg.idle_timeout.max(Duration::from_millis(1))));
     let _ = stream.set_write_timeout(Some(cfg.write_timeout));
-    if !handshake(&mut stream, shared) {
+    if !handshake(stream, cfg) {
         return;
     }
-    let Ok(write_half) = stream.try_clone() else { return };
-
-    let (tx, reply_rx) = mpsc::channel::<Reply>();
-    let replies = Arc::new(Replies { tx, in_flight: AtomicUsize::new(0) });
-    // Flipped by the writer on socket failure so the reader stops
-    // accepting work for a connection that can no longer answer.
-    let broken = Arc::new(AtomicBool::new(false));
-    let writer = {
-        let broken = Arc::clone(&broken);
-        let metrics = cfg.metrics.clone();
-        let component = cfg.component.clone();
-        let response_cap = cfg.max_frame.saturating_add(1024);
-        std::thread::spawn(move || {
-            writer_loop(write_half, &reply_rx, &broken, &metrics, &component, response_cap)
-        })
-    };
-
-    reader_loop(stream, shared, &replies, &broken);
-
-    // Drop our handle; in-flight jobs hold clones, so the writer drains
-    // their responses before exiting.
-    drop(replies);
-    let _ = writer.join();
+    let (mut inbox, mut out) = (Inbox::new(), Vec::new());
+    // Buffer bytes last reported to the metrics gauge.
+    let mut buffered = 0;
+    while serve_batch(stream, &mut inbox, &mut out, shared, &mut buffered) {}
+    // A closed connection holds no buffers.
+    cfg.metrics.server_batch_finished(&cfg.component, 0, buffered as u64, 0);
 }
 
 /// Reads the connection's first frame — length-prefixed without a
-/// correlation id, through the same polling fill as every later frame,
-/// so shutdown and the idle reaper apply to a stalled opener too — and
-/// answers it on this thread. HELLO gets the ack and returns `true`: both
-/// directions use correlation-id frames from here on. An oversized frame
-/// gets [`ErrorCode::FrameTooLarge`], anything else
+/// correlation id, read exactly, so bytes behind it wait in the socket
+/// for the first batch — and answers it. HELLO gets the ack and returns
+/// `true`: both directions use correlation-id frames from here on. An
+/// oversized frame gets [`ErrorCode::FrameTooLarge`], anything else
 /// [`ErrorCode::BadRequest`]; both return `false` and the caller closes.
-fn handshake(stream: &mut TcpStream, shared: &Shared) -> bool {
-    let cfg = &shared.cfg;
+fn handshake(stream: &mut TcpStream, cfg: &DaemonConfig) -> bool {
     let response_cap = cfg.max_frame.saturating_add(1024);
-    let nothing_in_flight = AtomicUsize::new(0);
-    let mut fill = |buf: &mut [u8], eof_ok: bool| {
-        let filled = fill_polling(stream, buf, shared, &nothing_in_flight, eof_ok);
-        if matches!(filled, Ok(Fill::Idle)) {
-            cfg.metrics.server_idle_reaped(&cfg.component);
+    let refusal = match read_frame(stream, cfg.max_frame) {
+        Ok(Some(payload)) if is_hello(&payload) => {
+            cfg.metrics.server_v2_negotiated(&cfg.component);
+            return write_frame(stream, &ok_frame(&hello_ack_payload()), response_cap).is_ok();
         }
-        matches!(filled, Ok(Fill::Filled))
-    };
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    if !fill(&mut header, true) {
-        return false;
-    }
-    let len = u32::from_be_bytes(header);
-    let refusal = if len > cfg.max_frame {
-        // The read position is inside an unread payload: refuse and close.
-        let detail = format!("frame of {len} bytes exceeds the {}-byte cap", cfg.max_frame);
-        err_frame(ErrorCode::FrameTooLarge, &detail)
-    } else {
-        let mut payload = shared.buffers.checkout();
-        payload.resize(len as usize, 0);
-        if !fill(&mut payload, false) {
+        Ok(Some(_)) => err_frame(ErrorCode::BadRequest, "the first frame must be HELLO"),
+        Err(NetError::FrameTooLarge { len, max }) => err_frame(
+            ErrorCode::FrameTooLarge,
+            &format!("frame of {len} bytes exceeds the {max}-byte cap"),
+        ),
+        Err(NetError::Io(e)) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            cfg.metrics.server_idle_reaped(&cfg.component);
             return false;
         }
-        if is_hello(&payload) {
-            cfg.metrics.server_v2_negotiated(&cfg.component);
-            let ack = ok_frame(&hello_ack_payload());
-            return write_frame(stream, &ack, response_cap).is_ok();
-        }
-        err_frame(ErrorCode::BadRequest, "the first frame must be HELLO")
+        Ok(None) | Err(_) => return false,
     };
     let _ = write_frame(stream, &refusal, response_cap);
     false
 }
 
-fn writer_loop(
-    mut stream: TcpStream,
-    rx: &Receiver<Reply>,
-    broken: &AtomicBool,
-    metrics: &ServiceMetrics,
-    component: &str,
+/// What the front of a connection's buffer holds.
+enum Next {
+    /// A whole frame of `len` payload bytes.
+    Frame { corr: u64, len: usize },
+    /// An incomplete frame needing `need` bytes in all (a header's
+    /// worth while the header itself is incomplete).
+    Partial { need: usize },
+    /// A header claiming more than the cap: refused before allocation.
+    TooLarge { corr: u64, len: u32 },
+}
+
+fn next_frame(pending: &[u8], max_frame: u32) -> Next {
+    let Some(header) = pending.get(..FRAME_V2_HEADER_LEN) else {
+        return Next::Partial { need: FRAME_V2_HEADER_LEN };
+    };
+    let len = u32::from_be_bytes(header[..FRAME_HEADER_LEN].try_into().expect("4 bytes"));
+    let corr = u64::from_be_bytes(header[FRAME_HEADER_LEN..].try_into().expect("8 bytes"));
+    if len > max_frame {
+        return Next::TooLarge { corr, len };
+    }
+    let need = FRAME_V2_HEADER_LEN + len as usize;
+    if pending.len() < need {
+        Next::Partial { need }
+    } else {
+        Next::Frame { corr, len: len as usize }
+    }
+}
+
+/// Serves one batch: every complete frame in the buffer (reading first
+/// when there is none), one durability wait, one write. Returns whether
+/// the connection stays open.
+fn serve_batch(
+    stream: &mut TcpStream,
+    inbox: &mut Inbox,
+    out: &mut Vec<u8>,
+    shared: &Shared,
+    buffered: &mut usize,
+) -> bool {
+    let cfg = &shared.cfg;
+    let (count, tail) = loop {
+        match scan(inbox.pending(), cfg.max_frame) {
+            (0, Next::Partial { need }) => {
+                inbox.reserve(need);
+                if !inbox.fill(stream, cfg) {
+                    return false;
+                }
+            }
+            batch => break batch,
+        }
+    };
+    cfg.metrics.server_batch_started(&cfg.component, count as u64);
+    let response_cap = cfg.max_frame.saturating_add(1024);
+    let (consumed, durable) = group_commit::run(|| {
+        let mut rest = inbox.pending();
+        while let Next::Frame { corr, len } = next_frame(rest, cfg.max_frame) {
+            let (frame, after) = rest.split_at(FRAME_V2_HEADER_LEN + len);
+            let result = shared.service.handle(&frame[FRAME_V2_HEADER_LEN..]);
+            push_response(out, corr, result, response_cap);
+            rest = after;
+        }
+        inbox.pending().len() - rest.len()
+    });
+    inbox.consume(consumed);
+    inbox.shrink();
+    let close = match tail {
+        Next::TooLarge { corr, len } => {
+            let detail = format!("frame of {len} bytes exceeds the {}-byte cap", cfg.max_frame);
+            push_response(out, corr, Err((ErrorCode::FrameTooLarge, detail)), response_cap);
+            true
+        }
+        _ => false,
+    };
+    // Nothing of a batch whose writes may not be on disk is answered.
+    let answered = durable.is_ok() && stream.write_all(out).is_ok();
+    out.clear();
+    out.shrink_to(RETAINED_BUFFER);
+    let now = inbox.buf.len() + out.capacity();
+    cfg.metrics.server_batch_finished(&cfg.component, count as u64, *buffered as u64, now as u64);
+    *buffered = now;
+    answered && !close
+}
+
+/// Counts the complete frames at the front of `pending` and says what
+/// follows them (a partial frame, possibly empty, or a refusal).
+fn scan(pending: &[u8], max_frame: u32) -> (usize, Next) {
+    let (mut count, mut at) = (0, 0);
+    loop {
+        match next_frame(&pending[at..], max_frame) {
+            Next::Frame { len, .. } => {
+                count += 1;
+                at += FRAME_V2_HEADER_LEN + len;
+            }
+            tail => return (count, tail),
+        }
+    }
+}
+
+/// Appends one response frame (`len ‖ corr ‖ envelope`) to `out`. A
+/// response over the cap becomes a typed error in its place.
+fn push_response(
+    out: &mut Vec<u8>,
+    corr: u64,
+    result: Result<Vec<u8>, (ErrorCode, String)>,
     response_cap: u32,
 ) {
-    let mut max_seq_written = 0u64;
-    while let Ok(reply) = rx.recv() {
-        if broken.load(Ordering::SeqCst) {
-            continue; // drain without writing; senders must never block
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_V2_HEADER_LEN]);
+    match result {
+        Ok(resp) if resp.len() < response_cap as usize => {
+            out.push(RESP_OK);
+            out.extend_from_slice(&resp);
         }
-        if reply.seq < max_seq_written {
-            // This response was overtaken by a later request's — the
-            // out-of-order completion correlation ids exist to allow.
-            metrics.server_out_of_order(component);
-        } else {
-            max_seq_written = reply.seq;
-        }
-        if write_frame_v2(&mut stream, reply.corr, &reply.frame, response_cap).is_err() {
-            broken.store(true, Ordering::SeqCst);
-        }
-        // `reply.frame` drops here, returning its buffer to the pool.
+        Ok(resp) => out.extend_from_slice(&err_frame(
+            ErrorCode::Internal,
+            &format!("response of {} bytes exceeds the {response_cap}-byte cap", resp.len()),
+        )),
+        Err((code, detail)) => out.extend_from_slice(&err_frame(code, &detail)),
     }
+    let len = (out.len() - start - FRAME_V2_HEADER_LEN) as u32;
+    out[start..start + FRAME_HEADER_LEN].copy_from_slice(&len.to_be_bytes());
+    out[start + FRAME_HEADER_LEN..start + FRAME_V2_HEADER_LEN].copy_from_slice(&corr.to_be_bytes());
 }
 
-fn reader_loop(
-    mut stream: TcpStream,
-    shared: &Arc<Shared>,
-    replies: &Arc<Replies>,
-    broken: &Arc<AtomicBool>,
-) {
-    let cfg = &shared.cfg;
-    let mut seq = 0u64;
-    loop {
-        if broken.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let event = read_frame_polling(&mut stream, shared, &replies.in_flight);
-        seq += 1;
-        match event {
-            Ok(ReadEvent::Frame(corr, payload)) => submit(shared, payload, corr, seq, replies),
-            Ok(ReadEvent::Eof) | Ok(ReadEvent::Stopped) => break,
-            Ok(ReadEvent::Idle) => {
-                cfg.metrics.server_idle_reaped(&cfg.component);
-                break;
-            }
-            Ok(ReadEvent::TooLarge { corr, len }) => {
-                // Typed refusal, then close: the read position is inside
-                // an unread payload, so the connection cannot continue.
-                // The header (length + correlation id) was read before
-                // the length check fired, so the refusal echoes the
-                // offending request's id — a pipelined caller fails fast
-                // with the typed error instead of timing out and
-                // replaying the same oversized frame on reconnect.
-                let detail = format!("frame of {len} bytes exceeds the {}-byte cap", cfg.max_frame);
-                let mut buf = shared.buffers.checkout();
-                buf.extend_from_slice(&err_frame(ErrorCode::FrameTooLarge, &detail));
-                let _ = replies.tx.send(Reply { corr, seq, frame: buf });
-                break;
-            }
-            Err(_) => break,
+/// A connection's read buffer: `buf[..end]` is received and not yet
+/// consumed. `buf` stays initialised to its full length, so each read
+/// lands straight in `buf[end..]`.
+struct Inbox {
+    buf: Vec<u8>,
+    end: usize,
+}
+
+impl Inbox {
+    fn new() -> Self {
+        Self { buf: vec![0; RETAINED_BUFFER], end: 0 }
+    }
+
+    fn pending(&self) -> &[u8] {
+        &self.buf[..self.end]
+    }
+
+    /// Drops the first `n` pending bytes, moving the rest (at most a
+    /// partial frame) to the front.
+    fn consume(&mut self, n: usize) {
+        self.buf.copy_within(n..self.end, 0);
+        self.end -= n;
+    }
+
+    /// Grows the buffer to hold a frame of `need` bytes.
+    fn reserve(&mut self, need: usize) {
+        if need > self.buf.len() {
+            self.buf.resize(need, 0);
         }
     }
-}
 
-/// Hands one decoded request to the shared compute pool, or queues a
-/// `Busy` reply when the pool refuses it.
-fn submit(shared: &Arc<Shared>, payload: PooledBuf, corr: u64, seq: u64, replies: &Arc<Replies>) {
-    let cfg = &shared.cfg;
-    cfg.metrics.server_job_enqueued(&cfg.component);
-    let job_shared = Arc::clone(shared);
-    let job_replies = Arc::clone(replies);
-    replies.in_flight.fetch_add(1, Ordering::SeqCst);
-    let accepted = shared.pool.try_execute(move || {
-        let cfg = &job_shared.cfg;
-        cfg.metrics.server_job_started(&cfg.component);
-        let mut frame = job_shared.buffers.checkout();
-        match job_shared.service.handle(&payload) {
-            Ok(resp) => {
-                frame.push(RESP_OK);
-                frame.extend_from_slice(&resp);
-            }
-            Err((code, detail)) => frame.extend_from_slice(&err_frame(code, &detail)),
-        }
-        drop(payload); // recycle the request buffer before the send
-                       // Decrement before the send: once the reply is queued, the
-                       // client can already have the response on the wire and its next
-                       // request in our reader, so a post-send decrement would let
-                       // `in_flight` transiently exceed every client's pipeline depth.
-        cfg.metrics.server_job_finished(&cfg.component);
-        let _ = job_replies.tx.send(Reply { corr, seq, frame });
-        job_replies.in_flight.fetch_sub(1, Ordering::SeqCst);
-    });
-    if accepted.is_err() {
-        replies.in_flight.fetch_sub(1, Ordering::SeqCst);
-        cfg.metrics.server_job_started(&cfg.component);
-        cfg.metrics.server_job_finished(&cfg.component);
-        cfg.metrics.server_busy_rejection(&cfg.component);
-        let mut buf = shared.buffers.checkout();
-        buf.extend_from_slice(&err_frame(ErrorCode::Busy, "compute queue full"));
-        let _ = replies.tx.send(Reply { corr, seq, frame: buf });
-    }
-}
-
-/// One frame-read attempt on a polled socket.
-enum ReadEvent {
-    /// A frame with its correlation id.
-    Frame(u64, PooledBuf),
-    /// The length prefix exceeded the cap (rejected before allocation);
-    /// `corr` is the offending request's correlation id.
-    TooLarge { corr: u64, len: u64 },
-    /// Peer closed between frames.
-    Eof,
-    /// The shutdown flag flipped while waiting.
-    Stopped,
-    /// No bytes for the idle timeout and nothing in flight.
-    Idle,
-}
-
-fn read_frame_polling(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    in_flight: &AtomicUsize,
-) -> Result<ReadEvent, NetError> {
-    let mut header = [0u8; FRAME_V2_HEADER_LEN];
-    match fill_polling(stream, &mut header, shared, in_flight, true)? {
-        Fill::Stopped => return Ok(ReadEvent::Stopped),
-        Fill::Idle => return Ok(ReadEvent::Idle),
-        Fill::Eof => return Ok(ReadEvent::Eof),
-        Fill::Filled => {}
-    }
-    let len = u32::from_be_bytes(header[..FRAME_HEADER_LEN].try_into().expect("fixed len"));
-    let corr = u64::from_be_bytes(header[FRAME_HEADER_LEN..].try_into().expect("fixed len"));
-    if len > shared.cfg.max_frame {
-        return Ok(ReadEvent::TooLarge { corr, len: u64::from(len) });
-    }
-    let mut payload = shared.buffers.checkout();
-    payload.resize(len as usize, 0);
-    match fill_polling(stream, &mut payload, shared, in_flight, false)? {
-        Fill::Stopped => Ok(ReadEvent::Stopped),
-        Fill::Idle => Ok(ReadEvent::Idle),
-        Fill::Eof => Err(NetError::Closed),
-        Fill::Filled => Ok(ReadEvent::Frame(corr, payload)),
-    }
-}
-
-enum Fill {
-    Filled,
-    Eof,
-    Stopped,
-    Idle,
-}
-
-/// Fills `buf`, treating read timeouts as ticks that poll the stop flag
-/// and the idle clock. EOF is only clean (`Fill::Eof`) when `eof_ok` and
-/// no byte has arrived yet.
-///
-/// The idle clock starts at the first tick with no request in flight,
-/// so the hot path never reads the clock; a silent connection is closed
-/// within two ticks past `idle_timeout`.
-fn fill_polling(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shared: &Shared,
-    in_flight: &AtomicUsize,
-    eof_ok: bool,
-) -> Result<Fill, NetError> {
-    use std::io::Read;
-    let mut filled = 0;
-    let mut idle_since: Option<Instant> = None;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if eof_ok && filled == 0 { Ok(Fill::Eof) } else { Err(NetError::Closed) }
-            }
-            Ok(n) => {
-                filled += n;
-                idle_since = None;
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return Ok(Fill::Stopped);
+    /// Reads at least one byte: whatever has arrived, up to the room
+    /// behind `end`, which the caller made with [`Inbox::reserve`] for
+    /// a frame longer than the pending bytes. Returns `false` on EOF,
+    /// error, or the idle timeout, which it counts.
+    fn fill(&mut self, stream: &mut TcpStream, cfg: &DaemonConfig) -> bool {
+        debug_assert!(self.end < self.buf.len(), "no room reserved");
+        loop {
+            match stream.read(&mut self.buf[self.end..]) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    self.end += n;
+                    return true;
                 }
-                if in_flight.load(Ordering::SeqCst) > 0 {
-                    idle_since = None;
-                    continue;
-                }
-                let now = Instant::now();
-                if now.duration_since(*idle_since.get_or_insert(now)) >= shared.cfg.idle_timeout {
-                    return Ok(Fill::Idle);
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => {
+                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                        cfg.metrics.server_idle_reaped(&cfg.component);
+                    }
+                    return false;
                 }
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
         }
     }
-    Ok(Fill::Filled)
+
+    /// Gives back growth beyond [`RETAINED_BUFFER`] that the pending
+    /// bytes do not need.
+    fn shrink(&mut self) {
+        if self.buf.len() > RETAINED_BUFFER && self.end <= RETAINED_BUFFER {
+            self.buf.truncate(RETAINED_BUFFER);
+            self.buf.shrink_to_fit();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{read_frame, read_frame_v2};
+    use crate::frame::{read_frame_v2, write_frame_v2};
     use crate::msg::{decode_response, hello_frame, is_hello_ack};
-    use std::io::Write;
+    use std::time::Instant;
 
     /// Echoes the request payload back, uppercased.
     struct Upper;
@@ -575,7 +515,7 @@ mod tests {
     }
 
     fn small_cfg() -> DaemonConfig {
-        DaemonConfig { workers: 2, queue_depth: 4, max_frame: 1024, ..DaemonConfig::default() }
+        DaemonConfig { max_frame: 1024, ..DaemonConfig::default() }
     }
 
     /// Connects and completes the HELLO exchange.
@@ -654,34 +594,24 @@ mod tests {
     }
 
     #[test]
-    fn oversized_v2_frame_refusal_echoes_the_correlation_id() {
-        let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Upper), small_cfg()).unwrap();
-        let mut conn = open(&daemon);
-
-        // Hostile v2 header: correlation id 7, claimed 16 MiB payload on
-        // a 1 KiB server. The typed refusal must target id 7 so the
-        // pipelined caller fails that request instead of timing out.
-        conn.write_all(&(16 * 1024 * 1024u32).to_be_bytes()).unwrap();
-        conn.write_all(&7u64.to_be_bytes()).unwrap();
-        let (corr, resp) = read_frame_v2(&mut conn, 4096).unwrap().unwrap();
-        assert_eq!(corr, 7, "refusal carries the offending request's id");
-        match decode_response(&resp).unwrap_err() {
-            NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::FrameTooLarge),
-            other => panic!("expected Remote, got {other}"),
-        }
-        daemon.shutdown();
-    }
-
-    #[test]
     fn shutdown_with_idle_connection_is_prompt() {
-        let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Upper), small_cfg()).unwrap();
-        // Park an idle connection on a reader, then shut down: the reader
-        // must notice via its read-timeout poll rather than hanging.
-        let _idle = TcpStream::connect(daemon.addr()).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        let start = std::time::Instant::now();
+        let metrics = ServiceMetrics::new();
+        let cfg = DaemonConfig { metrics: metrics.clone(), ..small_cfg() };
+        assert_eq!(cfg.idle_timeout, Duration::from_secs(300), "a missed shutdown would hang");
+        let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Upper), cfg).unwrap();
+        // One connection that never says a word, and one that finished
+        // HELLO and had a request answered: both threads sit in a read
+        // that only the idle timeout would otherwise end.
+        let _silent = TcpStream::connect(daemon.addr()).unwrap();
+        let mut served = open(&daemon);
+        assert_eq!(decode_response(&roundtrip(&mut served, 1, b"hi")).unwrap(), b"HI");
+        while metrics.server("net.server").accepted < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let start = Instant::now();
         daemon.shutdown();
         assert!(start.elapsed() < Duration::from_secs(2), "shutdown hung");
+        assert_eq!(read_frame_v2(&mut served, 4096).unwrap(), None, "closed with EOF");
     }
 
     #[test]
@@ -753,7 +683,6 @@ mod tests {
         let metrics = ServiceMetrics::new();
         let cfg = DaemonConfig {
             idle_timeout: Duration::from_millis(60),
-            read_timeout: Duration::from_millis(10),
             metrics: metrics.clone(),
             ..small_cfg()
         };
@@ -771,28 +700,85 @@ mod tests {
     }
 
     #[test]
-    fn hello_upgrades_to_v2_and_pipelines_out_of_order() {
+    fn pipelined_requests_come_back_in_order_under_their_own_ids() {
         let metrics = ServiceMetrics::new();
         let cfg = DaemonConfig { metrics: metrics.clone(), ..small_cfg() };
         let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Sleepy), cfg).unwrap();
-        let mut conn = open(&daemon);
+        let mut conn = TcpStream::connect(daemon.addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
 
-        // Submit a slow request then a fast one; the fast response must
-        // come back FIRST, carrying its own correlation id.
-        write_frame_v2(&mut conn, 101, &[80], 1024).unwrap(); // 80 ms
-        write_frame_v2(&mut conn, 202, &[0], 1024).unwrap(); // immediate
-        let (corr_a, resp_a) = read_frame_v2(&mut conn, 4096).unwrap().unwrap();
-        let (corr_b, resp_b) = read_frame_v2(&mut conn, 4096).unwrap().unwrap();
-        assert_eq!(corr_a, 202, "fast response overtook the slow one");
-        assert_eq!(decode_response(&resp_a).unwrap(), [0]);
-        assert_eq!(corr_b, 101);
-        assert_eq!(decode_response(&resp_b).unwrap(), [80]);
+        // HELLO and a slow request then two fast ones, in one write: the
+        // bytes behind HELLO belong to the first batch, which is
+        // answered in request order whatever each request cost.
+        let mut burst = Vec::new();
+        write_frame(&mut burst, &hello_frame(), 1024).unwrap();
+        for (corr, ms) in [(303u64, 60u8), (101, 0), (202, 0)] {
+            write_frame_v2(&mut burst, corr, &[ms, corr as u8], 1024).unwrap();
+        }
+        conn.write_all(&burst).unwrap();
+        let ack = read_frame(&mut conn, 4096).unwrap().unwrap();
+        assert!(is_hello_ack(decode_response(&ack).unwrap()));
+        for (corr, ms) in [(303u64, 60u8), (101, 0), (202, 0)] {
+            let (got, resp) = read_frame_v2(&mut conn, 4096).unwrap().unwrap();
+            assert_eq!(got, corr, "answered in request order");
+            assert_eq!(decode_response(&resp).unwrap(), [ms, corr as u8]);
+        }
 
         let server = metrics.server("net.server");
-        assert_eq!(server.accepted, 1);
-        assert_eq!(server.v2_negotiated, 1);
-        assert!(server.out_of_order >= 1, "reordering was counted");
-        assert!(server.in_flight_peak >= 2, "two jobs ran concurrently");
+        assert_eq!((server.accepted, server.v2_negotiated), (1, 1));
+        assert_eq!(server.queue_peak, 3, "the three frames made one batch");
+        assert_eq!(server.in_flight_peak, 3);
+        assert_eq!(server.in_flight, 0, "every request answered");
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn a_slow_request_on_one_connection_does_not_delay_another() {
+        /// Holds a `hold` request until the test meets it at the barrier.
+        struct Gate(std::sync::Barrier);
+        impl Service for Gate {
+            fn handle(&self, request: &[u8]) -> Result<Vec<u8>, (ErrorCode, String)> {
+                if request == b"hold" {
+                    self.0.wait();
+                }
+                Ok(request.to_vec())
+            }
+        }
+        let gate = Arc::new(Gate(std::sync::Barrier::new(2)));
+        let daemon = Daemon::spawn("127.0.0.1:0", Arc::clone(&gate) as _, small_cfg()).unwrap();
+        let (mut held, mut other) = (open(&daemon), open(&daemon));
+        write_frame_v2(&mut held, 1, b"hold", 1024).unwrap();
+        // Served while `held` waits in its handler (a daemon that served
+        // connections one after the other would time this read out)...
+        assert_eq!(decode_response(&roundtrip(&mut other, 2, b"go")).unwrap(), b"go");
+        // ...which the barrier then releases.
+        gate.0.wait();
+        let (corr, resp) = read_frame_v2(&mut held, 4096).unwrap().unwrap();
+        assert_eq!((corr, decode_response(&resp).unwrap()), (1, &b"hold"[..]));
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_handler_closes_only_its_own_connection() {
+        struct Panicky;
+        impl Service for Panicky {
+            fn handle(&self, request: &[u8]) -> Result<Vec<u8>, (ErrorCode, String)> {
+                assert!(request != b"panic", "told to");
+                Ok(request.to_vec())
+            }
+        }
+        let cfg = DaemonConfig { max_connections: 1, ..small_cfg() };
+        let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Panicky), cfg).unwrap();
+        let mut doomed = open(&daemon);
+        write_frame_v2(&mut doomed, 1, b"panic", 1024).unwrap();
+        match read_frame_v2(&mut doomed, 4096) {
+            Ok(None) | Err(_) => {}
+            Ok(Some(frame)) => panic!("a panicked batch was answered: {frame:?}"),
+        }
+        // The only connection slot came back: a new connection is
+        // served, not refused with Busy.
+        let mut next = open(&daemon);
+        assert_eq!(decode_response(&roundtrip(&mut next, 2, b"ok")).unwrap(), b"ok");
         daemon.shutdown();
     }
 
@@ -843,44 +829,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         let resp = roundtrip(&mut first, 2, b"alive");
         assert_eq!(decode_response(&resp).unwrap(), b"ALIVE");
-        daemon.shutdown();
-    }
-
-    #[test]
-    fn full_compute_queue_answers_busy_per_request() {
-        let metrics = ServiceMetrics::new();
-        let cfg = DaemonConfig {
-            workers: 1,
-            queue_depth: 1,
-            metrics: metrics.clone(),
-            max_frame: 1024,
-            ..DaemonConfig::default()
-        };
-        let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Sleepy), cfg).unwrap();
-        let mut conn = open(&daemon);
-
-        // Flood: 1 worker (sleeping 100 ms) + 1 queue slot; the rest of
-        // the burst must come back Busy rather than queueing unboundedly.
-        for corr in 0..8u64 {
-            write_frame_v2(&mut conn, corr, &[100], 1024).unwrap();
-        }
-        let mut busy = 0u64;
-        let mut served = 0u32;
-        for _ in 0..8 {
-            let (_, resp) = read_frame_v2(&mut conn, 4096).unwrap().unwrap();
-            match decode_response(&resp) {
-                Ok(_) => served += 1,
-                Err(NetError::Remote { code, .. }) => {
-                    assert_eq!(code, ErrorCode::Busy);
-                    busy += 1;
-                }
-                Err(other) => panic!("unexpected {other}"),
-            }
-        }
-        assert!(served >= 1, "the accepted jobs completed");
-        assert!(busy >= 1, "overload surfaced as Busy");
-        assert_eq!(metrics.server("net.server").busy_rejections, busy);
-        assert!(metrics.server("net.server").queue_peak >= 1);
         daemon.shutdown();
     }
 }

@@ -21,7 +21,9 @@
 //! load generator, say) passes through unchanged.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+
+use sp_osn::group_commit::after_durable;
 
 use crate::daemon::Service;
 use crate::error::ErrorCode;
@@ -67,7 +69,8 @@ struct CacheState {
 
 /// A bounded `(token → response)` memory with FIFO eviction.
 pub struct ReplayCache {
-    state: Mutex<CacheState>,
+    /// Shared with the inserts queued until their batch is durable.
+    state: Arc<Mutex<CacheState>>,
     cap: usize,
 }
 
@@ -82,7 +85,7 @@ impl ReplayCache {
     #[must_use]
     pub fn new(cap: usize) -> Self {
         Self {
-            state: Mutex::new(CacheState { map: HashMap::new(), order: VecDeque::new() }),
+            state: Arc::new(Mutex::new(CacheState { map: HashMap::new(), order: VecDeque::new() })),
             cap: cap.max(1),
         }
     }
@@ -90,17 +93,13 @@ impl ReplayCache {
     /// Remembered outcomes right now.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        lock(&self.state).map.len()
     }
 
     /// Whether nothing is remembered yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheState> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Runs `f` at most once per `token`: a replayed token returns the
@@ -110,6 +109,11 @@ impl ReplayCache {
     /// Busy means "not executed, try again", so the retry (which reuses
     /// the token) must actually re-execute.
     ///
+    /// Inside a group-commit scope (see [`sp_osn::group_commit`]) the
+    /// outcome is remembered only once the scope's writes are durable:
+    /// when that fails, a retry re-runs and meets the failed store
+    /// instead of replaying a success that never reached the disk.
+    ///
     /// # Errors
     ///
     /// Whatever `f` returned (now or on the original execution).
@@ -117,7 +121,7 @@ impl ReplayCache {
     where
         F: FnOnce(&[u8]) -> Outcome,
     {
-        if let Some(hit) = self.lock().map.get(&token) {
+        if let Some(hit) = lock(&self.state).map.get(&token) {
             return hit.clone();
         }
         // Not held across `f`: duplicates only arrive from sequential
@@ -126,18 +130,25 @@ impl ReplayCache {
         // tagged request behind one mutex.
         let outcome = f(request);
         if !matches!(outcome, Err((ErrorCode::Busy, _))) {
-            let mut st = self.lock();
-            if st.map.len() >= self.cap {
-                if let Some(old) = st.order.pop_front() {
-                    st.map.remove(&old);
+            let (state, cap, remembered) = (Arc::clone(&self.state), self.cap, outcome.clone());
+            after_durable(move || {
+                let mut st = lock(&state);
+                if st.map.len() >= cap {
+                    if let Some(old) = st.order.pop_front() {
+                        st.map.remove(&old);
+                    }
                 }
-            }
-            if st.map.insert(token, outcome.clone()).is_none() {
-                st.order.push_back(token);
-            }
+                if st.map.insert(token, remembered).is_none() {
+                    st.order.push_back(token);
+                }
+            });
         }
         outcome
     }
+}
+
+fn lock(state: &Mutex<CacheState>) -> std::sync::MutexGuard<'_, CacheState> {
+    state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl Default for ReplayCache {

@@ -87,7 +87,8 @@ impl<S: StorageBackend> DhService<S> {
 
     /// Publishes the backend's per-shard load counters (component
     /// `"dh.blobs"`) and, for durable backends, durability counters
-    /// (component `"dh.store"`) into the metrics registry.
+    /// (component `"dh.store"`) into the metrics registry. Call it
+    /// before reading those components; requests do not refresh them.
     pub fn sync_shard_metrics(&self) {
         if let Some(d) = self.dh.durability() {
             self.metrics.set_store_counters(
@@ -137,7 +138,6 @@ impl<S: StorageBackend> DhService<S> {
             Err(_) => (0, true),
         };
         self.metrics.record(endpoint, request.len() as u64, out, is_err);
-        self.sync_shard_metrics();
         result
     }
 }
@@ -226,18 +226,19 @@ mod tests {
     use crate::daemon::{Daemon, DaemonConfig};
     use std::sync::Arc;
 
-    fn boot() -> (Daemon, DhClient, ServiceMetrics) {
-        let service = DhService::new(StorageHost::new());
+    fn boot() -> (Daemon, DhClient, ServiceMetrics, Arc<DhService>) {
+        let service = Arc::new(DhService::new(StorageHost::new()));
         let metrics = service.metrics();
         let daemon =
-            Daemon::spawn("127.0.0.1:0", Arc::new(service), DaemonConfig::default()).unwrap();
+            Daemon::spawn("127.0.0.1:0", Arc::clone(&service) as _, DaemonConfig::default())
+                .unwrap();
         let client = DhClient::connect(daemon.addr(), ClientConfig::default());
-        (daemon, client, metrics)
+        (daemon, client, metrics, service)
     }
 
     #[test]
     fn storage_api_over_the_wire() {
-        let (daemon, client, metrics) = boot();
+        let (daemon, client, metrics, _) = boot();
         let url = client.put(Bytes::from_static(b"ciphertext")).unwrap();
         assert_eq!(client.get(&url).unwrap(), Bytes::from_static(b"ciphertext"));
 
@@ -261,7 +262,7 @@ mod tests {
 
     #[test]
     fn get_batch_is_per_slot_over_the_wire() {
-        let (daemon, client, metrics) = boot();
+        let (daemon, client, metrics, service) = boot();
         let a = client.put(Bytes::from_static(b"alpha")).unwrap();
         let b = client.put(Bytes::from_static(b"bravo")).unwrap();
         let missing = Url::from("dh://nowhere/404");
@@ -281,14 +282,15 @@ mod tests {
         let hist = metrics.batch_histogram("dh.get_batch");
         assert_eq!(hist.count, 2);
         assert_eq!(hist.max, 3);
-        // Shard counters were synced after handling requests.
+        // Shard counters reach the registry when synced.
+        service.sync_shard_metrics();
         assert!(metrics.shard_contention_totals("dh.blobs").reads > 0);
         daemon.shutdown();
     }
 
     #[test]
     fn unknown_and_invalid_urls_map_to_typed_codes() {
-        let (daemon, client, _) = boot();
+        let (daemon, client, ..) = boot();
         assert_eq!(client.get(&Url::from("dh://nowhere/1")).unwrap_err(), OsnError::UnknownUrl);
         // An empty URL is rejected by the server's parse step. From<&str>
         // bypasses client-side validation on purpose, to prove the server

@@ -14,17 +14,15 @@
 //!   subroutine (`Upload`, `DisplayPuzzle`, `AnswerPuzzle`'s output,
 //!   `Verify`, `Access`) plus the DH blob operations and the HELLO
 //!   exchange, with round-trip codecs over `sp-wire`.
-//! * [`daemon`] — a std-only TCP daemon: per-connection reader/writer
-//!   threads around a shared bounded compute pool, out-of-order
-//!   response multiplexing, idle-connection reaping, graceful shutdown,
-//!   serving-path metrics.
+//! * [`daemon`] — a std-only TCP daemon: one thread per connection that
+//!   runs every request itself, a batch of pipelined frames at a time
+//!   with one group-commit wait and one write per batch, idle-connection
+//!   reaping, prompt shutdown, serving-path metrics.
 //! * [`client`] — client settings (connect/read/write timeouts, bounded
 //!   retry-with-backoff) and idempotency tokens.
 //! * [`pipeline`] — [`PipelinedConnection`]: the one client, holding up
 //!   to N requests in flight on one socket, with per-request deadlines
 //!   and idempotent replay of unacknowledged requests.
-//! * [`pool`] — the bounded [`BufferPool`] recycling frame payload
-//!   buffers through the daemon's read/compute/write path.
 //! * [`sp`] / [`dh`] — the SP and DH services and their remote clients.
 //!   [`SpClient`] implements `sp_osn::ProviderApi` and [`DhClient`]
 //!   implements `sp_osn::StorageApi`, so the `social-puzzles-core`
@@ -95,7 +93,6 @@ pub mod error;
 pub mod frame;
 pub mod msg;
 pub mod pipeline;
-pub mod pool;
 pub mod ring;
 pub mod sp;
 
@@ -107,6 +104,5 @@ pub use dh::{DhClient, DhService};
 pub use error::{ErrorCode, NetError};
 pub use frame::{DEFAULT_MAX_FRAME, FRAME_HEADER_LEN, FRAME_V2_HEADER_LEN};
 pub use pipeline::{PipelineConfig, PipelinedConnection};
-pub use pool::{BufferPool, PooledBuf, DEFAULT_POOL_CAP};
 pub use ring::{key_for_url, parse_ring_spec, HashRing, DEFAULT_VNODES};
 pub use sp::{SpClient, SpService};

@@ -639,36 +639,49 @@ mod tests {
         }
     }
 
+    /// A hand-rolled server answers two pipelined calls in reverse
+    /// order, holding the first one's answer until the second call has
+    /// returned: each call must get its own payload, matched by id.
     #[test]
     fn pipelined_calls_complete_out_of_order() {
-        let metrics = ServiceMetrics::new();
-        let daemon = sleepy_daemon(DaemonConfig { metrics: metrics.clone(), ..Default::default() });
-        let conn = Arc::new(PipelinedConnection::new(daemon.addr(), quick_cfg(8)));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (go, go_rx) = mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            answer_hello(&mut s);
+            let first = read_frame_v2(&mut s, 1 << 20).unwrap().unwrap();
+            let second = read_frame_v2(&mut s, 1 << 20).unwrap().unwrap();
+            let answer = |s: &mut TcpStream, (corr, req): &(u64, Vec<u8>)| {
+                let (_, inner) = strip_idempotency(req).unwrap();
+                write_frame_v2(s, *corr, &[&[RESP_OK][..], inner].concat(), 1 << 20).unwrap();
+                inner.to_vec()
+            };
+            answer(&mut s, &second);
+            go_rx.recv().unwrap();
+            let first = answer(&mut s, &first);
+            // Hold the connection until the client is finished with it.
+            let _ = read_frame_v2(&mut s, 1 << 20);
+            first
+        });
 
-        // A slow request, then a fast one, on ONE socket: the fast one
-        // must come back while the slow one is still in flight.
-        let slow = {
-            let conn = Arc::clone(&conn);
-            std::thread::spawn(move || {
-                let r = conn.call(&[120]).unwrap();
-                (r, Instant::now())
+        let conn = Arc::new(PipelinedConnection::new(addr, quick_cfg(8)));
+        let (done, done_rx) = mpsc::channel();
+        let calls: Vec<_> = [&b"x"[..], b"y"]
+            .into_iter()
+            .map(|payload| {
+                let (conn, done) = (Arc::clone(&conn), done.clone());
+                std::thread::spawn(move || done.send((payload, conn.call(payload))).unwrap())
             })
-        };
-        std::thread::sleep(Duration::from_millis(30)); // slow is in flight
-        let fast_started = Instant::now();
-        assert_eq!(conn.call(&[0]).unwrap(), [0]);
-        let fast_done = Instant::now();
-        let (slow_result, slow_done) = slow.join().unwrap();
-        assert_eq!(slow_result, [120]);
-        assert!(fast_done < slow_done, "fast response overtook the slow one");
-        assert!(
-            fast_done - fast_started < Duration::from_millis(90),
-            "fast call did not wait behind the slow one"
-        );
-        assert_eq!(metrics.server("net.server").v2_negotiated, 1);
-        assert!(metrics.server("net.server").out_of_order >= 1);
+            .collect();
+        let (early, result) = done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(result.unwrap(), early, "the early answer reached its own call");
+        go.send(()).unwrap();
+        let (late, result) = done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(result.unwrap(), late);
+        calls.into_iter().for_each(|c| c.join().unwrap());
         drop(conn);
-        daemon.shutdown();
+        assert_eq!(server.join().unwrap(), late, "the call sent first completed last");
     }
 
     #[test]

@@ -390,8 +390,10 @@ impl<P: ProviderBackend> SpService<P> {
     }
 
     /// Pushes the backend's current per-shard load counters (component
-    /// `"sp.puzzles"`) and, for durable backends, durability counters
-    /// (component `"sp.store"`) into the metrics registry.
+    /// `"sp.puzzles"`), the puzzle cache's, and, for durable backends,
+    /// durability counters (component `"sp.store"`) into the metrics
+    /// registry. Call it before reading those components; requests do
+    /// not refresh them.
     pub fn sync_shard_metrics(&self) {
         if let Some(d) = self.sp.durability() {
             self.metrics.set_store_counters(
@@ -469,7 +471,6 @@ impl<P: ProviderBackend> SpService<P> {
             Err(_) => (0, true),
         };
         self.metrics.record(endpoint, request.len() as u64, out, is_err);
-        self.sync_shard_metrics();
         result
     }
 }
@@ -759,14 +760,14 @@ mod tests {
     use social_puzzles_core::context::Context;
     use std::sync::Arc;
 
-    fn boot() -> (Daemon, SpClient, ServiceMetrics, ServiceProvider) {
-        let service = SpService::new(ServiceProvider::new(), Construction1::new());
+    fn boot() -> (Daemon, SpClient, ServiceMetrics, Arc<SpService>) {
+        let service = Arc::new(SpService::new(ServiceProvider::new(), Construction1::new()));
         let metrics = service.metrics();
-        let provider = service.provider().clone();
         let daemon =
-            Daemon::spawn("127.0.0.1:0", Arc::new(service), DaemonConfig::default()).unwrap();
+            Daemon::spawn("127.0.0.1:0", Arc::clone(&service) as _, DaemonConfig::default())
+                .unwrap();
         let client = SpClient::connect(daemon.addr(), ClientConfig::default());
-        (daemon, client, metrics, provider)
+        (daemon, client, metrics, service)
     }
 
     #[test]
@@ -791,7 +792,8 @@ mod tests {
 
     #[test]
     fn puzzle_subroutines_over_the_wire() {
-        let (daemon, client, _, provider) = boot();
+        let (daemon, client, _, service) = boot();
+        let provider = service.provider();
         let c1 = Construction1::new();
         let mut rng = StdRng::seed_from_u64(99);
         let ctx = Context::builder()
@@ -844,7 +846,8 @@ mod tests {
 
     #[test]
     fn verify_batch_over_the_wire_is_per_entry() {
-        let (daemon, client, metrics, provider) = boot();
+        let (daemon, client, metrics, service) = boot();
+        let provider = service.provider();
         let c1 = Construction1::new();
         let mut rng = StdRng::seed_from_u64(41);
         let ctx =
@@ -892,13 +895,15 @@ mod tests {
         let hist = metrics.batch_histogram("sp.verify_batch");
         assert_eq!(hist.count, 2);
         assert_eq!(hist.max, 3);
+        service.sync_shard_metrics();
         assert!(metrics.shard_contention_totals("sp.puzzles").reads > 0);
         daemon.shutdown();
     }
 
     #[test]
     fn answer_puzzle_batch_over_the_wire() {
-        let (daemon, client, _, provider) = boot();
+        let (daemon, client, _, service) = boot();
+        let provider = service.provider();
         let c1 = Construction1::new();
         let mut rng = StdRng::seed_from_u64(43);
         let ctx = Context::builder()
@@ -934,7 +939,7 @@ mod tests {
 
     #[test]
     fn display_puzzle_memoizes_the_stored_parse_per_url() {
-        let (daemon, client, metrics, _) = boot();
+        let (daemon, client, metrics, service) = boot();
         let c1 = Construction1::new();
         let mut rng = StdRng::seed_from_u64(17);
         let ctx =
@@ -971,6 +976,7 @@ mod tests {
         assert_eq!(metrics.cache("sp.puzzle_cache").misses, 3);
 
         // The cache's own sharded-store load counters are exported.
+        service.sync_shard_metrics();
         assert!(metrics.shard_contention_totals("sp.puzzle_cache").reads > 0);
         daemon.shutdown();
     }

@@ -1,16 +1,29 @@
 //! Property-based coverage of the wire framing: id-less (HELLO) and
 //! correlation-id round-trips, frame-size enforcement, and the HELLO
-//! payloads, over arbitrary payload bytes and id values.
+//! payloads, over arbitrary payload bytes and id values — plus the
+//! daemon's batch boundaries: bursts split anywhere, a frame larger
+//! than the read buffer, and a refusal in the middle of a batch.
 
-use std::io::Cursor;
+use std::io::{Cursor, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
+use std::time::Duration;
 
+use bytes::Bytes;
 use proptest::prelude::*;
+use social_puzzles_core::metrics::ServiceMetrics;
+use sp_net::daemon::RETAINED_BUFFER;
 use sp_net::dedup::{wrap_idempotent, IDEMPOTENCY_TAG};
 use sp_net::frame::{
     read_frame, read_frame_v2, write_frame, write_frame_v2, FRAME_HEADER_LEN, FRAME_V2_HEADER_LEN,
 };
-use sp_net::msg::{hello_ack_payload, hello_frame, is_hello, is_hello_ack, HELLO_TAG};
-use sp_net::NetError;
+use sp_net::msg::{
+    decode_response, hello_ack_payload, hello_frame, is_hello, is_hello_ack, HELLO_TAG,
+};
+use sp_net::{
+    ClientConfig, Daemon, DaemonConfig, DhClient, DhService, ErrorCode, NetError, Service,
+};
+use sp_osn::{StorageApi, StorageHost};
 
 const MAX: u32 = 1 << 16;
 
@@ -132,4 +145,104 @@ proptest! {
         prop_assert_ne!(wrapped[0], HELLO_TAG);
         prop_assert!(!is_hello(&wrapped));
     }
+}
+
+// ---------------------------------------------------------------------
+// Batch boundaries on a live daemon.
+
+/// Echoes every request.
+struct Echo;
+impl Service for Echo {
+    fn handle(&self, request: &[u8]) -> Result<Vec<u8>, (ErrorCode, String)> {
+        Ok(request.to_vec())
+    }
+}
+
+/// Connects without Nagle delays and completes the HELLO exchange.
+fn open(addr: SocketAddr) -> TcpStream {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    conn.set_nodelay(true).unwrap();
+    write_frame(&mut conn, &hello_frame(), MAX).unwrap();
+    assert!(is_hello_ack(decode_response(&read_frame(&mut conn, MAX).unwrap().unwrap()).unwrap()));
+    conn
+}
+
+/// Reads the next answer and checks it is `payload`, echoed under `corr`.
+fn expect_echo(conn: &mut TcpStream, corr: u64, payload: &[u8]) {
+    let (got, resp) = read_frame_v2(conn, MAX).unwrap().expect("an answer, not EOF");
+    assert_eq!((got, decode_response(&resp).unwrap()), (corr, payload), "in order, by id");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn a_burst_split_at_any_byte_is_answered_in_full_and_in_order(
+        base in any::<u64>(),
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 3..4),
+    ) {
+        let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Echo), DaemonConfig::default()).unwrap();
+        let mut conn = open(daemon.addr());
+        let (mut burst, mut ends) = (Vec::new(), Vec::new());
+        for (i, payload) in payloads.iter().enumerate() {
+            write_frame_v2(&mut burst, base.wrapping_add(i as u64), payload, MAX).unwrap();
+            ends.push(burst.len());
+        }
+        for cut in 1..burst.len() {
+            // The frames the first write completes are answered before
+            // the rest is sent; the remainder completes the burst.
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            for (part, frames) in [(&burst[..cut], 0..whole), (&burst[cut..], whole..3)] {
+                conn.write_all(part).unwrap();
+                for i in frames {
+                    expect_echo(&mut conn, base.wrapping_add(i as u64), &payloads[i]);
+                }
+            }
+        }
+        drop(conn);
+        daemon.shutdown();
+    }
+}
+
+#[test]
+fn a_4_mib_blob_crosses_the_read_buffer_and_the_buffers_shrink_back() {
+    let metrics = ServiceMetrics::new();
+    let service = Arc::new(DhService::new(StorageHost::new()));
+    let cfg = DaemonConfig { metrics: metrics.clone(), ..DaemonConfig::default() };
+    let daemon = Daemon::spawn("127.0.0.1:0", service, cfg).unwrap();
+    let client = DhClient::connect(daemon.addr(), ClientConfig::default());
+    let blob: Vec<u8> = (0..4u32 << 20).map(|i| (i % 251) as u8).collect();
+    let url = client.put(Bytes::from(blob.clone())).unwrap();
+    assert_eq!(client.get(&url).unwrap(), blob, "the 4 MiB blob round-trips");
+    // One more request: its answer follows the blob batch's bookkeeping.
+    client.reserve().unwrap();
+    let buffered = metrics.server("net.server").buffer_bytes;
+    assert!(buffered <= 2 * RETAINED_BUFFER as u64, "{buffered} bytes kept after the blob");
+    drop(client);
+    daemon.shutdown();
+    assert_eq!(metrics.server("net.server").buffer_bytes, 0, "closed connections hold nothing");
+}
+
+#[test]
+fn a_refusal_mid_batch_follows_the_answers_before_it_then_closes() {
+    let cfg = DaemonConfig { max_frame: 1024, ..DaemonConfig::default() };
+    let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(Echo), cfg).unwrap();
+    let mut conn = open(daemon.addr());
+    let mut burst = Vec::new();
+    write_frame_v2(&mut burst, 1, b"one", MAX).unwrap();
+    write_frame_v2(&mut burst, 2, b"two", MAX).unwrap();
+    burst.extend_from_slice(&(16u32 << 20).to_be_bytes()); // 16 MiB on a 1 KiB cap
+    burst.extend_from_slice(&3u64.to_be_bytes());
+    conn.write_all(&burst).unwrap();
+    expect_echo(&mut conn, 1, b"one");
+    expect_echo(&mut conn, 2, b"two");
+    let (corr, resp) = read_frame_v2(&mut conn, MAX).unwrap().unwrap();
+    assert_eq!(corr, 3, "the refusal carries the oversized frame's id");
+    match decode_response(&resp).unwrap_err() {
+        NetError::Remote { code, .. } => assert_eq!(code, ErrorCode::FrameTooLarge),
+        other => panic!("expected FrameTooLarge, got {other}"),
+    }
+    assert_eq!(read_frame_v2(&mut conn, MAX).unwrap(), None, "then EOF");
+    daemon.shutdown();
 }

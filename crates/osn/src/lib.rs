@@ -16,7 +16,9 @@
 //!   with the paper's k-of-N knowledge-based decision,
 //! * [`NetworkModel`] / [`TrafficStats`] — deterministic latency +
 //!   bandwidth accounting calibrated to the paper's 802.11n/60 Mbps setup,
-//! * [`DeviceProfile`] — PC vs tablet compute scaling for Fig. 10(c, d).
+//! * [`DeviceProfile`] — PC vs tablet compute scaling for Fig. 10(c, d),
+//! * [`group_commit`] — a per-thread scope that lets a server defer a
+//!   durable store's fsync waits to the end of a batch of requests.
 //!
 //! # Example
 //!
@@ -44,6 +46,7 @@ mod api;
 mod device;
 mod error;
 mod graph;
+pub mod group_commit;
 mod network;
 mod provider;
 pub mod rebac;

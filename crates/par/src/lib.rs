@@ -25,10 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod pool;
-
-pub use pool::{QueueFull, WorkerPool};
-
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Inputs shorter than this run serially — thread spawn overhead would

@@ -6,8 +6,12 @@
 //! is applied to the in-memory store and its record appended to the WAL
 //! (so memory order and log order agree); the fsync wait happens
 //! *outside* the mutex, so concurrent writers still share one group
-//! commit. A mutation is acknowledged only after its sequence number is
-//! durable — a crash can lose only never-acknowledged operations.
+//! commit. The wait goes through [`sp_osn::group_commit::defer_wait`]:
+//! inside a server's batch scope it runs once the whole batch has been
+//! handled, so one fsync covers the batch; elsewhere it runs before the
+//! call returns. A mutation is acknowledged only after its sequence
+//! number is durable — a crash can lose only never-acknowledged
+//! operations.
 //!
 //! Recovery on open loads the newest snapshot and replays the log tail
 //! through the same restore hooks the snapshot uses; records carry
@@ -15,9 +19,11 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
+use sp_osn::group_commit::defer_wait;
 use sp_osn::{
     DurabilityCounters, OsnError, PostId, ProviderApi, ProviderBackend, PuzzleId, ReplApplied,
     ServiceProvider, ShardLoad, StorageApi, StorageBackend, StorageHost, Url, UserId,
@@ -62,7 +68,8 @@ fn transport(_: StoreError) -> OsnError {
 
 /// Shared append/commit/snapshot plumbing for both durable stores.
 struct Engine {
-    wal: Wal,
+    /// Shared with the deferred commit waits.
+    wal: Arc<Wal>,
     /// Serializes {apply to memory + WAL append} so log order matches
     /// memory order; never held across an fsync.
     commit_mu: Mutex<()>,
@@ -73,7 +80,7 @@ struct Engine {
 impl Engine {
     fn new(wal: Wal, snapshot_every: u64) -> Self {
         Self {
-            wal,
+            wal: Arc::new(wal),
             commit_mu: Mutex::new(()),
             snapshot_every: snapshot_every.max(1),
             since_snapshot: AtomicU64::new(0),
@@ -81,9 +88,9 @@ impl Engine {
     }
 
     /// Applies `op` to memory and logs its record under the commit
-    /// mutex, then waits for durability outside it. `op` returns the
-    /// in-memory result plus the record to log; an `Err` from `op`
-    /// (e.g. unknown puzzle) aborts before anything is logged.
+    /// mutex, then waits for durability outside it (see [`Self::commit`]).
+    /// `op` returns the in-memory result plus the record to log; an `Err`
+    /// from `op` (e.g. unknown puzzle) aborts before anything is logged.
     fn logged<T>(
         &self,
         op: impl FnOnce() -> Result<(T, Record), OsnError>,
@@ -98,9 +105,16 @@ impl Engine {
             let seq = self.wal.append(&record).map_err(transport)?;
             (out, seq)
         };
-        self.wal.commit(seq).map_err(transport)?;
+        self.commit(seq)?;
         self.maybe_snapshot(1, snapshot).map_err(transport)?;
         Ok(out)
+    }
+
+    /// Waits until `seq` is durable, deferred to the end of the
+    /// caller's group-commit scope when there is one.
+    fn commit(&self, seq: u64) -> Result<(), OsnError> {
+        let wal = Arc::clone(&self.wal);
+        defer_wait(move || wal.commit(seq).map_err(transport))
     }
 
     /// Snapshots once `snapshot_every` ops have been logged since the
@@ -473,7 +487,7 @@ impl ProviderBackend for DurableProvider {
             }
             last
         };
-        self.engine.wal.commit(last_seq).map_err(transport)?;
+        self.engine.commit(last_seq)?;
         self.engine.maybe_snapshot(n, || Self::snapshot_payload(&self.inner)).map_err(transport)?;
         Ok(())
     }

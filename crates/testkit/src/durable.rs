@@ -9,6 +9,13 @@
 //! operator does: reopen the same directory, let recovery replay the
 //! snapshot and log tail, and retry the un-acknowledged operation.
 //!
+//! The **served** variant ([`C1Durable::served`]) puts the store behind
+//! an SP daemon (`SpService<DurableProvider>`) and drives it through
+//! [`SpClient`], so each fault lands behind the daemon's batch-wide
+//! group commit: a batch whose fsync wait fails is never answered. A
+//! `Transport` error there restarts the daemon on the reopened
+//! directory.
+//!
 //! The differential contract is the strongest one in this harness:
 //! **decisions still equal the oracle**, crashes or not. That holds
 //! because every decision is computed from puzzle bytes fetched back
@@ -22,11 +29,14 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::Duration;
 
 use crate::seed::SeedSplit;
 use bytes::Bytes;
 use social_puzzles_core::construction1::{Construction1, Puzzle};
 use social_puzzles_core::SocialPuzzleError;
+use sp_net::{ClientConfig, Daemon, DaemonConfig, SpClient, SpService};
 use sp_osn::{OsnError, ProviderApi, UserId};
 use sp_store::{DurableProvider, StoreConfig};
 
@@ -48,8 +58,18 @@ pub struct C1Durable {
     c1: Construction1,
     root: PathBuf,
     plan: Option<FaultPlan>,
+    /// Whether the store sits behind an SP daemon.
+    served: bool,
     trace_reopens: u64,
     total_reopens: u64,
+}
+
+/// One store session: the store itself, or a client of the daemon
+/// serving it. Field order is drop order: the client hangs up, then the
+/// daemon shuts down and releases the store.
+struct Session {
+    api: Box<dyn ProviderApi>,
+    _daemon: Option<Daemon>,
 }
 
 impl C1Durable {
@@ -61,6 +81,7 @@ impl C1Durable {
             c1: Construction1::new(),
             root: root.into(),
             plan: None,
+            served: false,
             trace_reopens: 0,
             total_reopens: 0,
         }
@@ -73,19 +94,26 @@ impl C1Durable {
         Self { plan: Some(plan), ..Self::new(root) }
     }
 
+    /// Like [`C1Durable::new`] or, with a plan, [`C1Durable::with_faults`],
+    /// with the store behind an SP daemon reached through [`SpClient`].
+    #[must_use]
+    pub fn served(root: impl Into<PathBuf>, plan: Option<FaultPlan>) -> Self {
+        Self { plan, served: true, ..Self::new(root) }
+    }
+
     /// Crash/recover cycles survived across every trace so far.
     #[must_use]
     pub fn reopen_count(&self) -> u64 {
         self.total_reopens
     }
 
-    fn open(&mut self, dir: &Path, expected_appends: u64) -> Result<DurableProvider, TraceError> {
+    fn open(&mut self, dir: &Path, expected_appends: u64) -> Result<Session, TraceError> {
         let fault = if self.trace_reopens < MAX_REOPENS {
             self.plan.as_mut().and_then(|p| p.next_file_fault(expected_appends))
         } else {
             None
         };
-        DurableProvider::open(
+        let store = DurableProvider::open(
             dir,
             StoreConfig {
                 segment_bytes: SEGMENT_BYTES,
@@ -94,10 +122,19 @@ impl C1Durable {
                 ..StoreConfig::default()
             },
         )
-        .map_err(|e| TraceError::Recovery(format!("open {}: {e}", dir.display())))
+        .map_err(|e| TraceError::Recovery(format!("open {}: {e}", dir.display())))?;
+        if !self.served {
+            return Ok(Session { api: Box::new(store), _daemon: None });
+        }
+        let service = SpService::new(store, Construction1::new());
+        let daemon = Daemon::spawn("127.0.0.1:0", Arc::new(service), DaemonConfig::default())
+            .map_err(|e| TraceError::Recovery(format!("serving {}: {e}", dir.display())))?;
+        let cfg = ClientConfig { backoff: Duration::from_millis(1), ..ClientConfig::default() };
+        let api = Box::new(SpClient::connect(daemon.addr(), cfg));
+        Ok(Session { api, _daemon: Some(daemon) })
     }
 
-    fn reopen(&mut self, dir: &Path, expected_appends: u64) -> Result<DurableProvider, TraceError> {
+    fn reopen(&mut self, dir: &Path, expected_appends: u64) -> Result<Session, TraceError> {
         self.trace_reopens += 1;
         self.total_reopens += 1;
         self.open(dir, expected_appends)
@@ -105,8 +142,10 @@ impl C1Durable {
 }
 
 /// Retries `op` across crash/reopen cycles: a `Transport` error means
-/// the store crashed before acknowledging, so the caller-supplied
-/// `reopen` recovers from disk and the operation replays.
+/// the store crashed before acknowledging (served: the daemon closed an
+/// unanswered batch, or answered the crashed store's error), so the
+/// caller-supplied `reopen` recovers from disk and the operation
+/// replays.
 macro_rules! retrying {
     ($store:ident, $this:ident, $dir:expr, $appends:expr, $op:expr) => {
         loop {
@@ -121,10 +160,11 @@ macro_rules! retrying {
 
 impl Deployment for C1Durable {
     fn name(&self) -> &'static str {
-        if self.plan.is_some() {
-            "c1-durable-faulted"
-        } else {
-            "c1-durable"
+        match (self.served, self.plan.is_some()) {
+            (false, false) => "c1-durable",
+            (false, true) => "c1-durable-faulted",
+            (true, false) => "c1-durable-served",
+            (true, true) => "c1-durable-served-faulted",
         }
     }
 
@@ -141,7 +181,8 @@ impl Deployment for C1Durable {
         let appends = sc.attempts.len() as u64 + 1;
 
         let mut store = self.open(&dir, appends)?;
-        let id = retrying!(store, self, &dir, appends, store.publish_puzzle(puzzle_bytes.clone()));
+        let id =
+            retrying!(store, self, &dir, appends, store.api.publish_puzzle(puzzle_bytes.clone()));
         let user = UserId::from_raw(seed);
 
         let mut out = Vec::with_capacity(sc.attempts.len());
@@ -149,7 +190,7 @@ impl Deployment for C1Durable {
             // Decide from the *stored* puzzle, not the local copy: if a
             // crash/recovery boundary lost or mangled the acknowledged
             // publish, the decision diverges from the oracle right here.
-            let fetched = retrying!(store, self, &dir, appends, store.fetch_puzzle(id));
+            let fetched = retrying!(store, self, &dir, appends, store.api.fetch_puzzle(id));
             let puzzle = Puzzle::from_bytes(&fetched)?;
             let displayed = self.c1.display_puzzle(&puzzle, &mut rng);
             let answers = plan.answers(&sc.context);
@@ -169,7 +210,7 @@ impl Deployment for C1Durable {
                 },
             };
             let granted = matches!(decision, Ok(true));
-            retrying!(store, self, &dir, appends, store.log_access(user, id, granted));
+            retrying!(store, self, &dir, appends, store.api.log_access(user, id, granted));
             out.push(decision);
         }
 

@@ -56,9 +56,9 @@
 //! swaps the in-memory store for `sp-store`'s durable backend (WAL +
 //! snapshots under `PATH/sp` or `PATH/dh`), replaying any existing log
 //! on boot; `--max-connections` caps how many sockets a daemon holds
-//! (each costs a reader and a writer thread) and `--idle-timeout-ms`
-//! sets how long a silent connection with nothing in flight keeps its
-//! slot.
+//! (each costs the one thread that serves it) and `--idle-timeout-ms`
+//! sets how long a connection that sends nothing while the daemon waits
+//! for its next request keeps its slot.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -328,9 +328,6 @@ fn cmd_serve(args: &[String], role: Role) -> Result<(), String> {
         Role::Dh => "127.0.0.1:7742",
     });
     let mut cfg = DaemonConfig::default();
-    if let Some(w) = flag_value(args, "--workers") {
-        cfg.workers = w.parse().map_err(|_| "--workers must be a number")?;
-    }
     if let Some(m) = flag_value(args, "--max-frame") {
         cfg.max_frame = m.parse().map_err(|_| "--max-frame must be a number of bytes")?;
     }
@@ -357,7 +354,9 @@ fn cmd_serve(args: &[String], role: Role) -> Result<(), String> {
         return Err("--replicate-to needs --data-dir: only WAL-backed stores can export".into());
     }
 
-    let (name, metrics, daemon, replicator) = match (role, data_dir) {
+    // `sync` pushes the store's shard and durability counters into
+    // `metrics` for the exit summary.
+    let (name, metrics, daemon, replicator, sync) = match (role, data_dir) {
         (Role::Sp, None) => {
             let service = Arc::new(SpService::new(
                 ServiceProvider::with_shards(shards),
@@ -365,13 +364,14 @@ fn cmd_serve(args: &[String], role: Role) -> Result<(), String> {
             ));
             let metrics = service.metrics();
             // Same registry for the serving-path counters (accepted,
-            // HELLOs acked, in-flight/queue peaks, out-of-order), so
-            // the exit summary shows them next to the endpoints.
+            // HELLOs acked, in-flight and batch peaks), so the exit
+            // summary shows them next to the endpoints.
             cfg.metrics = metrics.clone();
             let daemon = Daemon::spawn(addr, Arc::clone(&service) as Arc<dyn Service>, cfg)
                 .map_err(|e| format!("binding {addr}: {e}"))?;
             let replicator = apply_cluster(&service, &daemon, &cluster);
-            ("sp", metrics, daemon, replicator)
+            let sync: Box<dyn Fn()> = Box::new(move || service.sync_shard_metrics());
+            ("sp", metrics, daemon, replicator, sync)
         }
         (Role::Sp, Some(dir)) => {
             let store_cfg = StoreConfig {
@@ -395,7 +395,8 @@ fn cmd_serve(args: &[String], role: Role) -> Result<(), String> {
                 .map_err(|e| format!("binding {addr}: {e}"))?;
             println!("sp: durable store at {} (replayed {replayed} records)", dir.display());
             let replicator = apply_cluster(&service, &daemon, &cluster);
-            ("sp", metrics, daemon, replicator)
+            let sync: Box<dyn Fn()> = Box::new(move || service.sync_shard_metrics());
+            ("sp", metrics, daemon, replicator, sync)
         }
         (Role::Dh, None) => {
             if cluster.active() {
@@ -404,9 +405,10 @@ fn cmd_serve(args: &[String], role: Role) -> Result<(), String> {
             let service = Arc::new(DhService::new(StorageHost::with_shards(shards)));
             let metrics = service.metrics();
             cfg.metrics = metrics.clone();
-            let daemon =
-                Daemon::spawn(addr, service, cfg).map_err(|e| format!("binding {addr}: {e}"))?;
-            ("dh", metrics, daemon, None)
+            let daemon = Daemon::spawn(addr, service.clone(), cfg)
+                .map_err(|e| format!("binding {addr}: {e}"))?;
+            let sync: Box<dyn Fn()> = Box::new(move || service.sync_shard_metrics());
+            ("dh", metrics, daemon, None, sync)
         }
         (Role::Dh, Some(dir)) => {
             if cluster.active() {
@@ -419,10 +421,11 @@ fn cmd_serve(args: &[String], role: Role) -> Result<(), String> {
             let service = Arc::new(DhService::new(host));
             let metrics = service.metrics();
             cfg.metrics = metrics.clone();
-            let daemon =
-                Daemon::spawn(addr, service, cfg).map_err(|e| format!("binding {addr}: {e}"))?;
+            let daemon = Daemon::spawn(addr, service.clone(), cfg)
+                .map_err(|e| format!("binding {addr}: {e}"))?;
             println!("dh: durable store at {} (replayed {replayed} records)", dir.display());
-            ("dh", metrics, daemon, None)
+            let sync: Box<dyn Fn()> = Box::new(move || service.sync_shard_metrics());
+            ("dh", metrics, daemon, None, sync)
         }
     };
     println!("{name}: listening on {}", daemon.addr());
@@ -437,6 +440,7 @@ fn cmd_serve(args: &[String], role: Role) -> Result<(), String> {
         replicator.stop();
     }
     daemon.shutdown();
+    sync();
     metrics.sync_crypto();
     print!("{metrics}");
     Ok(())
