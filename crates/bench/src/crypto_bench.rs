@@ -14,39 +14,29 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sp_abe::{encode_qa_attribute, AccessTree, CpAbe};
-use sp_bigint::{MontCtx, Uint};
-use sp_field::Fp2;
 use sp_pairing::{LineCache, Pairing};
 
 /// Schema tag written into (and required from) `BENCH_crypto.json`.
 ///
-/// v2 adds the warm line-cache pairing (`pairing_cached`) and the
-/// per-kernel micro rows (`mont_square`, `fp2_mul`, `gt_pow`,
-/// `split_scalar_mul`) on top of the v1 operation set.
-pub const CRYPTO_BENCH_SCHEMA: &str = "sp-bench/crypto/v2";
+/// v2 added the warm line-cache pairing (`pairing_cached`) and per-kernel
+/// micro rows to the v1 operation set. v3 keeps only the `gt_pow` micro
+/// row: the squaring, lazy `F_{p²}` multiply and split-scalar kernels the
+/// other three rows measured lost to (or tied with) their twins and are
+/// gone.
+pub const CRYPTO_BENCH_SCHEMA: &str = "sp-bench/crypto/v3";
 
 /// The operations every report must cover.
-pub const CRYPTO_BENCH_OPS: [&str; 10] = [
-    "encrypt",
-    "keygen",
-    "decrypt",
-    "pairing",
-    "scalar_mul",
-    "pairing_cached",
-    "mont_square",
-    "fp2_mul",
-    "gt_pow",
-    "split_scalar_mul",
-];
+pub const CRYPTO_BENCH_OPS: [&str; 7] =
+    ["encrypt", "keygen", "decrypt", "pairing", "scalar_mul", "pairing_cached", "gt_pow"];
 
 /// Committed v1 full-sweep throughput at `N = 6` (the paper's central
 /// context size), measured before the second-wave kernels landed. The
-/// validator requires the committed v2 report to beat these by
+/// validator requires a committed full report to beat these by
 /// [`KERNEL_SPEEDUP_FLOOR`].
 pub const V1_PAIRING_FAST_N6: f64 = 413.019;
 /// See [`V1_PAIRING_FAST_N6`].
 pub const V1_DECRYPT_FAST_N6: f64 = 141.188;
-/// Required improvement of the committed v2 fast paths over the v1
+/// Required improvement of the committed fast paths over the v1
 /// baselines above.
 pub const KERNEL_SPEEDUP_FLOOR: f64 = 1.5;
 /// Required warm-over-cold ratio for the `pairing_cached` row in a
@@ -249,35 +239,6 @@ pub fn run(cfg: &CryptoBenchConfig) -> CryptoBenchReport {
         fast_ops_per_s: fast,
     });
 
-    // Per-kernel micro rows. The field kernels run in 1000-op batches
-    // (n records the batch size) so the per-call timing overhead does
-    // not flatten sub-microsecond speedups.
-    let fq = pairing.fq().clone();
-    let mctx = MontCtx::new(*fq.modulus()).expect("q is an odd prime");
-    let vals: Vec<Uint<8>> = (0..1000).map(|_| *fq.random(&mut rng).mont_repr()).collect();
-    let slow = ops_per_s(cfg, || vals.iter().map(|a| mctx.square_reference(a)).collect::<Vec<_>>());
-    let fast = ops_per_s(cfg, || vals.iter().map(|a| mctx.square(a)).collect::<Vec<_>>());
-    entries.push(CryptoBenchEntry {
-        op: "mont_square",
-        n: 1000,
-        slow_ops_per_s: slow,
-        fast_ops_per_s: fast,
-    });
-
-    let rand_fp2 =
-        |rng: &mut StdRng| Fp2::new(fq.random(rng), fq.random(rng)).expect("q is 3 mod 4");
-    let xs: Vec<Fp2<8>> = (0..1000).map(|_| rand_fp2(&mut rng)).collect();
-    let ys: Vec<Fp2<8>> = (0..1000).map(|_| rand_fp2(&mut rng)).collect();
-    let slow =
-        ops_per_s(cfg, || xs.iter().zip(&ys).map(|(x, y)| x.mul_reference(y)).collect::<Vec<_>>());
-    let fast = ops_per_s(cfg, || xs.iter().zip(&ys).map(|(x, y)| x * y).collect::<Vec<_>>());
-    entries.push(CryptoBenchEntry {
-        op: "fp2_mul",
-        n: 1000,
-        slow_ops_per_s: slow,
-        fast_ops_per_s: fast,
-    });
-
     // Cyclotomic exponentiation (conjugation-as-inversion NAF walk on
     // norm-1 pairing values) vs the generic square-and-multiply twin.
     let e = pairing.pair(&p, &q).expect("non-degenerate");
@@ -286,17 +247,6 @@ pub fn run(cfg: &CryptoBenchConfig) -> CryptoBenchReport {
     let fast = ops_per_s(cfg, || e.pow(&exp));
     entries.push(CryptoBenchEntry {
         op: "gt_pow",
-        n: 1,
-        slow_ops_per_s: slow,
-        fast_ops_per_s: fast,
-    });
-
-    // Half-width split + Straus interleaving vs the plain sliding window
-    // on a variable base.
-    let slow = ops_per_s(cfg, || p.mul_uint(&exp));
-    let fast = ops_per_s(cfg, || p.mul_uint_split(&exp));
-    entries.push(CryptoBenchEntry {
-        op: "split_scalar_mul",
         n: 1,
         slow_ops_per_s: slow,
         fast_ops_per_s: fast,
@@ -367,7 +317,7 @@ fn entry_field(doc: &str, op: &str, n: usize, field: &str) -> Option<f64> {
 }
 
 /// Validates a `BENCH_crypto.json` document: syntactically well-formed
-/// JSON, the v2 schema tag, and at least one entry per operation with
+/// JSON, the v3 schema tag, and at least one entry per operation with
 /// all five fields present. A committed (non-quick) report must
 /// additionally clear the performance pins: the `pairing` and `decrypt`
 /// fast paths at `N = 6` beat the v1 baselines by
@@ -441,7 +391,7 @@ mod tests {
         validate_json(&json).expect("emitted document validates");
         let table = render(&report);
         assert!(table.contains("encrypt") && table.contains("speedup"));
-        assert!(table.contains("pairing_cached") && table.contains("mont_square"));
+        assert!(table.contains("pairing_cached") && table.contains("gt_pow"));
     }
 
     #[test]
@@ -449,12 +399,12 @@ mod tests {
         let report = run(&tiny());
         let json = to_json(&report);
         assert!(validate_json(&json[..json.len() - 4]).is_err(), "truncated");
-        assert!(validate_json(&json.replace("crypto/v2", "crypto/v9")).is_err(), "wrong schema");
-        assert!(validate_json(&json.replace("crypto/v2", "crypto/v1")).is_err(), "stale schema");
+        assert!(validate_json(&json.replace("crypto/v3", "crypto/v9")).is_err(), "wrong schema");
+        assert!(validate_json(&json.replace("crypto/v3", "crypto/v2")).is_err(), "stale schema");
         assert!(validate_json(&json.replace("\"decrypt\"", "\"dec\"")).is_err(), "missing op");
         assert!(
             validate_json(&json.replace("\"pairing_cached\"", "\"pc\"")).is_err(),
-            "missing v2 op"
+            "missing cache op"
         );
         assert!(validate_json("{\"a\": [1, 2,]}").is_err(), "trailing comma");
         assert!(validate_json("not json").is_err());

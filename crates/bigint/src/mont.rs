@@ -7,13 +7,17 @@ use crate::uint::{adc, mac, Uint};
 /// operands kept in Montgomery form (`x·R mod n`).
 ///
 /// `R = 2^(64·len)` where `len` is the number of *significant* limbs of
-/// `n`, not the container width `L`. All kernels loop over `len` limbs
+/// `n`, not the container width `L`. The multiply loops over `len` limbs
 /// only, so a 264-bit modulus carried in a 512-bit `Uint<8>` pays
 /// 5-limb arithmetic (25 macs per product row-set instead of 64). When
 /// the modulus fills the container the loops degenerate to the classic
-/// full-width forms. Each kernel dispatches on `len` to an
-/// `#[inline(always)]` body so constant propagation unrolls the limb
-/// loops and elides the bounds checks per size.
+/// full-width form.
+///
+/// [`MontCtx::mul`] is the only Montgomery product: squares and
+/// exponentiations go through it too. A dedicated squaring kernel and
+/// separated (multiply-then-reduce) kernels for lazy reduction both
+/// measured slower than this fused one at the 264- and 512-bit pairing
+/// fields.
 ///
 /// # Example
 ///
@@ -75,24 +79,6 @@ impl<const L: usize> MontCtx<L> {
         Ok(Self { n, n_prime, one, r2, len })
     }
 
-    /// Routes a kernel to a monomorphic copy per significant-limb count:
-    /// the callee is `#[inline(always)]`, so each arm's constant `len`
-    /// propagates, unrolling the limb loops and eliding bounds checks.
-    /// The fallback arm covers container widths beyond 8 limbs.
-    fn dispatch<T>(&self, f: impl Fn(&Self, usize) -> T) -> T {
-        match self.len {
-            1 => f(self, 1),
-            2 => f(self, 2),
-            3 => f(self, 3),
-            4 => f(self, 4),
-            5 => f(self, 5),
-            6 => f(self, 6),
-            7 => f(self, 7),
-            8 => f(self, 8),
-            len => f(self, len),
-        }
-    }
-
     /// The modulus.
     pub fn modulus(&self) -> &Uint<L> {
         &self.n
@@ -120,8 +106,23 @@ impl<const L: usize> MontCtx<L> {
 
     /// Montgomery multiplication: `a·b·R^{-1} mod n` (CIOS algorithm,
     /// looping over the `len` significant limbs only).
+    ///
+    /// Each arm calls the `#[inline(always)]` body with a constant `len`,
+    /// so constant propagation unrolls the limb loops and elides the
+    /// bounds checks per size; the fallback arm covers container widths
+    /// beyond 8 limbs.
     pub fn mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
-        self.dispatch(|s, len| s.mul_impl(a, b, len))
+        match self.len {
+            1 => self.mul_impl(a, b, 1),
+            2 => self.mul_impl(a, b, 2),
+            3 => self.mul_impl(a, b, 3),
+            4 => self.mul_impl(a, b, 4),
+            5 => self.mul_impl(a, b, 5),
+            6 => self.mul_impl(a, b, 6),
+            7 => self.mul_impl(a, b, 7),
+            8 => self.mul_impl(a, b, 8),
+            len => self.mul_impl(a, b, len),
+        }
     }
 
     #[allow(clippy::needless_range_loop)] // lockstep limb indexing
@@ -176,231 +177,6 @@ impl<const L: usize> MontCtx<L> {
         Uint::from_limbs(t)
     }
 
-    /// Montgomery reduction of a double-width value `t = hi·2^(64·L) + lo`
-    /// with `t < n·R` (`R = 2^(64·L)`): returns `t·R^{-1} mod n`, fully
-    /// reduced.
-    ///
-    /// This is the reduction half of an SOS (separated operand scanning)
-    /// multiply; pair it with [`MontCtx::wide_mul`] or
-    /// [`MontCtx::wide_square`] to defer reduction across a chain of
-    /// double-width additions and subtractions (lazy reduction), paying
-    /// one reduction per output instead of one per product.
-    pub fn montgomery_reduce(&self, lo: &Uint<L>, hi: &Uint<L>) -> Uint<L> {
-        self.dispatch(|s, len| s.reduce_impl(lo, hi, len))
-    }
-
-    #[inline(always)]
-    fn reduce_impl(&self, lo: &Uint<L>, hi: &Uint<L>, len: usize) -> Uint<L> {
-        // Flat 2L-limb accumulator as two stack halves; every index is
-        // routed to the right half explicitly.
-        let mut lo = *lo.limbs();
-        let mut hi = *hi.limbs();
-        let top = self.reduce_rounds(&mut lo, &mut hi, len);
-        // The reduced value is limbs len..2·len of the accumulator.
-        let mut t = [0u64; L];
-        for (j, tj) in t.iter_mut().enumerate().take(len) {
-            let k = len + j;
-            *tj = if k < L { lo[k] } else { hi[k - L] };
-        }
-        self.correct(t, top, len)
-    }
-
-    /// The `len` REDC rounds over the flat accumulator `lo ‖ hi`,
-    /// in place; returns the final carry (the bit at limb `2·len`).
-    #[inline(always)]
-    fn reduce_rounds(&self, lo: &mut [u64; L], hi: &mut [u64; L], len: usize) -> u64 {
-        let nl = self.n.limbs();
-        let mut top = 0u64;
-        for i in 0..len {
-            // m = w[i]·n' mod 2^64; adding m·n·2^(64·i) zeroes limb i.
-            let m = lo[i].wrapping_mul(self.n_prime);
-            let mut carry = 0u64;
-            // Limbs of the m·n row below the half boundary...
-            let split = len.min(L - i);
-            for j in 0..split {
-                let (v, c) = mac(lo[i + j], m, nl[j], carry);
-                lo[i + j] = v;
-                carry = c;
-            }
-            // ...and the rest in the high half.
-            for j in split..len {
-                let (v, c) = mac(hi[i + j - L], m, nl[j], carry);
-                hi[i + j - L] = v;
-                carry = c;
-            }
-            // Absorb this round's carry plus the running carry from the
-            // previous round into limb i+len; the carry-out belongs at
-            // limb i+len+1, which is exactly where the next round lands.
-            let k = i + len;
-            let w = if k < L { &mut lo[k] } else { &mut hi[k - L] };
-            let (v, c) = adc(*w, carry, top);
-            *w = v;
-            top = c;
-        }
-        top
-    }
-
-    /// Montgomery squaring: a dedicated SOS kernel (halved partial
-    /// products, then one wide reduction) rather than the generic CIOS
-    /// multiply on equal operands. The wide square and the reduction
-    /// share one stack frame so the 2L-limb intermediate is never moved.
-    pub fn square(&self, a: &Uint<L>) -> Uint<L> {
-        self.dispatch(|s, len| s.square_impl(a, len))
-    }
-
-    #[inline(always)]
-    fn square_impl(&self, a: &Uint<L>, len: usize) -> Uint<L> {
-        let (mut lo, mut hi) = self.square_wide(a.limbs(), len);
-        let top = self.reduce_rounds(&mut lo, &mut hi, len);
-        let mut t = [0u64; L];
-        for (j, tj) in t.iter_mut().enumerate().take(len) {
-            let k = len + j;
-            *tj = if k < L { lo[k] } else { hi[k - L] };
-        }
-        self.correct(t, top, len)
-    }
-
-    /// The wide-squaring pass shared by [`MontCtx::square`] and
-    /// [`MontCtx::wide_square`]: halved off-diagonal partial products,
-    /// then one doubling-plus-diagonal sweep.
-    #[inline(always)]
-    fn square_wide(&self, al: &[u64; L], len: usize) -> ([u64; L], [u64; L]) {
-        let mut lo = [0u64; L];
-        let mut hi = [0u64; L];
-        // Off-diagonal partial products, each pair counted once.
-        for i in 0..len {
-            let mut carry = 0u64;
-            let split = (L - i).clamp(i + 1, len);
-            for j in i + 1..split {
-                let (v, c) = mac(lo[i + j], al[i], al[j], carry);
-                lo[i + j] = v;
-                carry = c;
-            }
-            for j in split..len {
-                let (v, c) = mac(hi[i + j - L], al[i], al[j], carry);
-                hi[i + j - L] = v;
-                carry = c;
-            }
-            let k = i + len;
-            if k < L {
-                lo[k] = carry;
-            } else {
-                hi[k - L] = carry;
-            }
-        }
-        // Double the off-diagonal sum and add the diagonal a_i² terms in
-        // one pass: limbs 2i and 2i+1 receive a_i²'s low and high words.
-        let mut shift_carry = 0u64;
-        let mut diag_carry = 0u64;
-        for (i, &ai) in al.iter().enumerate().take(len) {
-            let (d_lo, d_hi) = {
-                let p = u128::from(ai) * u128::from(ai);
-                (p as u64, (p >> 64) as u64)
-            };
-            for (k, d) in [(2 * i, d_lo), (2 * i + 1, d_hi)] {
-                let w = if k < L { &mut lo[k] } else { &mut hi[k - L] };
-                let doubled = (*w << 1) | shift_carry;
-                shift_carry = *w >> 63;
-                let (v, c) = adc(doubled, d, diag_carry);
-                *w = v;
-                diag_carry = c;
-            }
-        }
-        debug_assert_eq!(shift_carry, 0, "doubled cross terms exceed 2·len limbs");
-        debug_assert_eq!(diag_carry, 0, "square exceeds 2·len limbs");
-        (lo, hi)
-    }
-
-    /// Reference twin of [`MontCtx::square`]: the generic multiply applied
-    /// to equal operands. Retained for differential testing.
-    pub fn square_reference(&self, a: &Uint<L>) -> Uint<L> {
-        self.mul(a, a)
-    }
-
-    /// Double-width product `a·b` of two reduced residues, as
-    /// `(low, high)` halves split at limb `L`. Unlike
-    /// [`Uint::widening_mul`] this loops over the modulus' significant
-    /// limbs only; feed the result to [`MontCtx::montgomery_reduce`]
-    /// (directly or after [`MontCtx::wide_sub`] combines) for
-    /// lazy-reduction chains.
-    pub fn wide_mul(&self, a: &Uint<L>, b: &Uint<L>) -> (Uint<L>, Uint<L>) {
-        self.dispatch(|s, len| s.wide_mul_impl(a, b, len))
-    }
-
-    #[inline(always)]
-    fn wide_mul_impl(&self, a: &Uint<L>, b: &Uint<L>, len: usize) -> (Uint<L>, Uint<L>) {
-        let al = a.limbs();
-        let bl = b.limbs();
-        let mut lo = [0u64; L];
-        let mut hi = [0u64; L];
-        for i in 0..len {
-            let mut carry = 0u64;
-            let split = len.min(L - i);
-            for j in 0..split {
-                let (v, c) = mac(lo[i + j], al[i], bl[j], carry);
-                lo[i + j] = v;
-                carry = c;
-            }
-            for j in split..len {
-                let (v, c) = mac(hi[i + j - L], al[i], bl[j], carry);
-                hi[i + j - L] = v;
-                carry = c;
-            }
-            let k = i + len;
-            if k < L {
-                lo[k] = carry;
-            } else {
-                hi[k - L] = carry;
-            }
-        }
-        (Uint::from_limbs(lo), Uint::from_limbs(hi))
-    }
-
-    /// Double-width square `a²` of a reduced residue (halved partial
-    /// products): the SOS squaring front half, `len`-bounded like
-    /// [`MontCtx::wide_mul`].
-    pub fn wide_square(&self, a: &Uint<L>) -> (Uint<L>, Uint<L>) {
-        let (lo, hi) = self.dispatch(|s, len| s.square_wide(a.limbs(), len));
-        (Uint::from_limbs(lo), Uint::from_limbs(hi))
-    }
-
-    /// Double-width modular subtraction `a − b`, adding `n·R` to cancel a
-    /// borrow so the result stays in `[0, n·R)` — the input domain
-    /// [`MontCtx::montgomery_reduce`] requires.
-    pub fn wide_sub(&self, a: (Uint<L>, Uint<L>), b: &(Uint<L>, Uint<L>)) -> (Uint<L>, Uint<L>) {
-        let (lo, borrow_lo) = a.0.overflowing_sub(&b.0);
-        let (hi, borrow_hi) = a.1.overflowing_sub(&b.1);
-        let (hi, borrow_chain) =
-            if borrow_lo { hi.overflowing_sub(&Uint::ONE) } else { (hi, false) };
-        if !(borrow_hi || borrow_chain) {
-            return (lo, hi);
-        }
-        // n enters at limb `len` (that is `n·R`), and the carry rides the
-        // wrapped borrow's all-ones upper limbs off the top, where it
-        // cancels against the borrow.
-        let len = self.len;
-        let nl = self.n.limbs();
-        let mut lo = *lo.limbs();
-        let mut hi = *hi.limbs();
-        let mut carry = 0u64;
-        for (j, &nj) in nl.iter().enumerate().take(len) {
-            let k = len + j;
-            let w = if k < L { &mut lo[k] } else { &mut hi[k - L] };
-            let (v, c) = adc(*w, nj, carry);
-            *w = v;
-            carry = c;
-        }
-        let mut k = 2 * len;
-        while carry != 0 && k < 2 * L {
-            let w = if k < L { &mut lo[k] } else { &mut hi[k - L] };
-            let (v, c) = adc(*w, 0, carry);
-            *w = v;
-            carry = c;
-            k += 1;
-        }
-        (Uint::from_limbs(lo), Uint::from_limbs(hi))
-    }
-
     /// Modular addition of two reduced residues (works in either domain).
     pub fn add(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
         let (sum, carry) = a.overflowing_add(b);
@@ -439,7 +215,7 @@ impl<const L: usize> MontCtx<L> {
         }
         let mut acc = *base;
         for i in (0..bits - 1).rev() {
-            acc = self.square(&acc);
+            acc = self.mul(&acc, &acc);
             if exp.bit(i) {
                 acc = self.mul(&acc, base);
             }
@@ -568,10 +344,17 @@ mod tests {
         assert_eq!(ctx.mul(&x, ctx.one()), x);
     }
 
+    /// The canonical square `x² mod n` by the independent route: a plain
+    /// widening multiply and a bit-serial wide reduction.
+    fn widening_square_mod<const L: usize>(x: &Uint<L>, n: &Uint<L>) -> Uint<L> {
+        let (lo, hi) = x.widening_mul(x);
+        crate::reduce_wide(&hi, &lo, n)
+    }
+
     #[test]
-    fn square_matches_reference_randomized() {
-        // Across small, 255-bit, 256-bit, and 512-bit moduli the SOS
-        // squaring must agree with the CIOS multiply bit-for-bit.
+    fn squares_match_wide_reduce_randomized() {
+        // Across small, 255-bit, 256-bit, and 512-bit moduli, squaring
+        // through the CIOS multiply must agree with the widening route.
         let p255 = U4::from_hex("7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed")
             .unwrap();
         let p256 = U4::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff")
@@ -580,8 +363,9 @@ mod tests {
         for p in [U4::from_u64(1_000_003), p255, p256] {
             let ctx = MontCtx::new(p).unwrap();
             for _ in 0..100 {
-                let a = U4::random_below(&mut rng, &p);
-                assert_eq!(ctx.square(&a), ctx.square_reference(&a));
+                let x = U4::random_below(&mut rng, &p);
+                let xm = ctx.to_mont(&x);
+                assert_eq!(ctx.from_mont(&ctx.mul(&xm, &xm)), widening_square_mod(&x, &p));
             }
         }
         let p512 = Uint::<8>::from_hex(
@@ -591,29 +375,14 @@ mod tests {
         .unwrap();
         let ctx = MontCtx::new(p512).unwrap();
         for _ in 0..100 {
-            let a = Uint::<8>::random_below(&mut rng, &p512);
-            assert_eq!(ctx.square(&a), ctx.square_reference(&a));
+            let x = Uint::<8>::random_below(&mut rng, &p512);
+            let xm = ctx.to_mont(&x);
+            assert_eq!(ctx.from_mont(&ctx.mul(&xm, &xm)), widening_square_mod(&x, &p512));
         }
-    }
-
-    #[test]
-    fn montgomery_reduce_matches_cios_mul() {
-        // REDC over a widening product must equal the interleaved CIOS
-        // multiply for any pair of reduced operands.
-        let p = U4::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff")
-            .unwrap();
-        let ctx = MontCtx::new(p).unwrap();
-        let mut rng = StdRng::seed_from_u64(22);
-        for _ in 0..200 {
-            let a = U4::random_below(&mut rng, &p);
-            let b = U4::random_below(&mut rng, &p);
-            let (lo, hi) = a.widening_mul(&b);
-            assert_eq!(ctx.montgomery_reduce(&lo, &hi), ctx.mul(&a, &b));
-        }
-        // Degenerate inputs.
-        assert_eq!(ctx.montgomery_reduce(&U4::ZERO, &U4::ZERO), U4::ZERO);
-        let one_r = *ctx.one();
-        let (lo, hi) = one_r.widening_mul(ctx.one());
-        assert_eq!(ctx.montgomery_reduce(&lo, &hi), one_r);
+        // Degenerate operands: 0² = 0 and 1² = 1, in the Montgomery domain.
+        assert_eq!(ctx.mul(&Uint::ZERO, &Uint::ZERO), Uint::ZERO);
+        assert_eq!(ctx.mul(ctx.one(), ctx.one()), *ctx.one());
+        let top = p512.wrapping_sub(&Uint::ONE);
+        assert_eq!(ctx.from_mont(&ctx.mul(&ctx.to_mont(&top), &ctx.to_mont(&top))), Uint::ONE);
     }
 }

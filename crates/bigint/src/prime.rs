@@ -66,7 +66,7 @@ pub fn miller_rabin<const L: usize, R: Rng + ?Sized>(
             continue 'witness;
         }
         for _ in 0..s - 1 {
-            x = ctx.square(&x);
+            x = ctx.mul(&x, &x);
             if x == neg_one_m {
                 continue 'witness;
             }

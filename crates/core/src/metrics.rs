@@ -176,9 +176,9 @@ impl CacheCounters {
 
 /// Snapshot of the crypto fast-path counters (the `crypto.cache`
 /// component): Miller line-evaluation cache traffic plus how often the
-/// second-wave kernels (cyclotomic `Gt` pow, split-scalar Straus mul)
-/// actually ran instead of their generic fallbacks. Producers push
-/// absolute process-wide totals (see [`ServiceMetrics::sync_crypto`]).
+/// cyclotomic `Gt` pow actually ran instead of its generic fallback.
+/// Producers push absolute process-wide totals (see
+/// [`ServiceMetrics::sync_crypto`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CryptoCounters {
     /// Line-evaluation cache hits (warm fixed-argument pairing).
@@ -191,8 +191,6 @@ pub struct CryptoCounters {
     pub cyclotomic_pow: u64,
     /// `Gt` exponentiations that fell back to the generic chain.
     pub generic_pow: u64,
-    /// Scalar multiplications through the split + Straus path.
-    pub split_scalar_mul: u64,
 }
 
 impl CryptoCounters {
@@ -220,7 +218,6 @@ impl From<sp_pairing::CryptoStats> for CryptoCounters {
             line_cache_invalidations: s.line_cache_invalidations,
             cyclotomic_pow: s.cyclotomic_pow,
             generic_pow: s.generic_pow,
-            split_scalar_mul: s.split_scalar_mul,
         }
     }
 }
@@ -604,14 +601,13 @@ impl fmt::Display for ServiceMetrics {
             writeln!(
                 f,
                 "{name} crypto: {} hits, {} misses ({:.1}% hit rate), {} invalidations, \
-                 {} cyclotomic pow, {} generic pow, {} split mul",
+                 {} cyclotomic pow, {} generic pow",
                 c.line_cache_hits,
                 c.line_cache_misses,
                 c.line_cache_hit_rate() * 100.0,
                 c.line_cache_invalidations,
                 c.cyclotomic_pow,
-                c.generic_pow,
-                c.split_scalar_mul
+                c.generic_pow
             )?;
         }
         let shards = self.with(|st| st.shards.clone());
@@ -832,7 +828,6 @@ mod tests {
                 line_cache_invalidations: 2,
                 cyclotomic_pow: 40,
                 generic_pow: 1,
-                split_scalar_mul: 7,
             },
         );
         let c = m.crypto_counters("crypto.cache");

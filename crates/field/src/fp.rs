@@ -154,7 +154,7 @@ impl<const L: usize> Fp<L> {
 
     /// Squares the element.
     pub fn square(&self) -> Self {
-        self.with(self.ctx.mont.square(&self.repr))
+        self.with(self.ctx.mont.mul(&self.repr, &self.repr))
     }
 
     /// Multiplicative inverse.

@@ -10,7 +10,7 @@ use std::ops::{Add, Mul, Neg, Sub};
 use std::sync::Arc;
 
 use rand::Rng;
-use sp_bigint::Uint;
+use sp_bigint::{MontCtx, Uint};
 
 use crate::error::FieldError;
 use crate::fp::{FieldCtx, Fp};
@@ -83,37 +83,11 @@ impl<const L: usize> Fp2<L> {
         Self { c0: self.c0.clone(), c1: -&self.c1 }
     }
 
-    /// Squares the element: `(c0² − c1²) + (2·c0·c1)·i`.
-    ///
-    /// Lazy-reduction kernel: both coefficient squares use the dedicated
-    /// SOS widening square, the difference is taken at double width, and
-    /// each output coefficient pays exactly one Montgomery reduction.
+    /// Squares the element: `(c0+c1)(c0−c1) + (2·c0·c1)·i`
+    /// ([`fp2_square_raw`]).
     pub fn square(&self) -> Self {
         let ctx = self.c0.ctx();
-        let mont = ctx.mont();
-        let a = self.c0.mont_repr();
-        let b = self.c1.mont_repr();
-        let va = mont.wide_square(a);
-        let vb = mont.wide_square(b);
-        let (lo, hi) = mont.wide_sub(va, &vb);
-        let c0 = mont.montgomery_reduce(&lo, &hi);
-        // 2·c0·c1: double one operand in the single-width domain first so
-        // the wide product stays below p·R for the one-subtraction REDC.
-        let a2 = mont.add(a, a);
-        let (lo, hi) = mont.wide_mul(&a2, b);
-        let c1 = mont.montgomery_reduce(&lo, &hi);
-        Self { c0: Fp::from_mont_repr(ctx, c0), c1: Fp::from_mont_repr(ctx, c1) }
-    }
-
-    /// Reference twin of [`Fp2::square`]: the pre-lazy-reduction
-    /// formulation `(c0+c1)(c0−c1) + (2·c0·c1)·i` built from fully reduced
-    /// base-field multiplies. Retained for differential testing.
-    pub fn square_reference(&self) -> Self {
-        let t0 = &self.c0 + &self.c1;
-        let t1 = &self.c0 - &self.c1;
-        let c0 = &t0 * &t1;
-        let c1 = (&self.c0 * &self.c1).double();
-        Self { c0, c1 }
+        Self::from_raw(ctx, fp2_square_raw(ctx.mont(), &self.raw()))
     }
 
     /// Field norm `c0² + c1² ∈ F_p` (the product with the conjugate).
@@ -121,26 +95,14 @@ impl<const L: usize> Fp2<L> {
         &self.c0.square() + &self.c1.square()
     }
 
-    /// Squaring specialized to the norm-one subgroup (`c0² + c1² = 1`):
-    /// `z² = (2·c0² − 1) + ((c0+c1)² − 1)·i` — two base-field squarings
-    /// where the generic [`Fp2::square`] pays two full-width products.
+    /// Exponentiation specialized to the norm-one subgroup: squarings
+    /// driven by a signed-digit (non-adjacent form) walk of the exponent,
+    /// using conjugation as the cost-free inversion the NAF digits `−1`
+    /// need. Callers must ensure `norm(self) = 1`.
     ///
-    /// Callers must ensure `norm(z) = 1` (pairing values after the
-    /// `(q − 1)` stage of the final exponentiation live there); other
-    /// inputs produce wrong answers, which is why this is not the `square`
-    /// default.
-    pub fn cyclotomic_square(&self) -> Self {
-        debug_assert!(self.norm().is_one(), "cyclotomic_square needs a norm-1 element");
-        let one = self.c0.ctx().one();
-        let a2 = self.c0.square();
-        let s = (&self.c0 + &self.c1).square();
-        Self { c0: &a2.double() - &one, c1: &s - &one }
-    }
-
-    /// Exponentiation specialized to the norm-one subgroup: cyclotomic
-    /// squarings driven by a signed-digit (non-adjacent form) walk of the
-    /// exponent, using conjugation as the cost-free inversion the NAF
-    /// digits `−1` need. Callers must ensure `norm(self) = 1`.
+    /// The squarings are the generic [`Fp2::square`]: the norm-one
+    /// formula `(2·c0² − 1) + ((c0+c1)² − 1)·i` also costs two products,
+    /// and measured slower than the raw-coefficient complex squaring.
     pub fn pow_norm1<const E: usize>(&self, exp: &Uint<E>) -> Self {
         let ctx = self.c0.ctx();
         if exp.is_zero() {
@@ -152,7 +114,7 @@ impl<const L: usize> Fp2<L> {
         let mut started = false;
         for &d in digits.iter().rev() {
             if started {
-                acc = acc.cyclotomic_square();
+                acc = acc.square();
             }
             match d {
                 1 => {
@@ -201,18 +163,14 @@ impl<const L: usize> Fp2<L> {
         Self { c0: &self.c0 * s, c1: &self.c1 * s }
     }
 
-    /// Reference twin of the `Mul` operator: Karatsuba built from fully
-    /// reduced base-field multiplies (one Montgomery reduction per
-    /// product, three per Fp² multiply). Retained for differential
-    /// testing of the lazy-reduction kernel.
-    pub fn mul_reference(&self, rhs: &Self) -> Self {
-        // Karatsuba: (a0 + a1 i)(b0 + b1 i)
-        //   = (a0 b0 − a1 b1) + ((a0+a1)(b0+b1) − a0 b0 − a1 b1) i
-        let v0 = &self.c0 * &rhs.c0;
-        let v1 = &self.c1 * &rhs.c1;
-        let c0 = &v0 - &v1;
-        let c1 = &(&(&self.c0 + &self.c1) * &(&rhs.c0 + &rhs.c1)) - &(&v0 + &v1);
-        Self { c0, c1 }
+    /// The raw Montgomery-form coefficients `[c0, c1]`.
+    fn raw(&self) -> [Uint<L>; 2] {
+        [*self.c0.mont_repr(), *self.c1.mont_repr()]
+    }
+
+    /// Rebuilds an element from raw Montgomery-form coefficients.
+    fn from_raw(ctx: &Arc<FieldCtx<L>>, [c0, c1]: [Uint<L>; 2]) -> Self {
+        Self { c0: Fp::from_mont_repr(ctx, c0), c1: Fp::from_mont_repr(ctx, c1) }
     }
 
     /// Fixed-length big-endian encoding: `c0 ‖ c1`, `16·L` bytes.
@@ -266,29 +224,34 @@ impl<const L: usize> Sub<&Fp2<L>> for &Fp2<L> {
 impl<const L: usize> Mul<&Fp2<L>> for &Fp2<L> {
     type Output = Fp2<L>;
     fn mul(self, rhs: &Fp2<L>) -> Fp2<L> {
-        // Lazy-reduction Karatsuba: the three products are taken at
-        // double width and combined there, so each output coefficient
-        // pays one Montgomery reduction instead of the three paid by
-        // [`Fp2::mul_reference`]. Every intermediate stays below p·R
-        // (sums are reduced mod p before multiplying; wide differences
-        // borrow against p·R), which the one-subtraction REDC requires.
         let ctx = self.c0.ctx();
-        let mont = ctx.mont();
-        let a0 = self.c0.mont_repr();
-        let a1 = self.c1.mont_repr();
-        let b0 = rhs.c0.mont_repr();
-        let b1 = rhs.c1.mont_repr();
-        let v0 = mont.wide_mul(a0, b0);
-        let v1 = mont.wide_mul(a1, b1);
-        let s = mont.add(a0, a1);
-        let t = mont.add(b0, b1);
-        let v2 = mont.wide_mul(&s, &t);
-        let (lo, hi) = mont.wide_sub(v0, &v1);
-        let c0 = mont.montgomery_reduce(&lo, &hi);
-        let (lo, hi) = mont.wide_sub(mont.wide_sub(v2, &v0), &v1);
-        let c1 = mont.montgomery_reduce(&lo, &hi);
-        Fp2 { c0: Fp::from_mont_repr(ctx, c0), c1: Fp::from_mont_repr(ctx, c1) }
+        Fp2::from_raw(ctx, fp2_mul_raw(ctx.mont(), &self.raw(), &rhs.raw()))
     }
+}
+
+/// Karatsuba `F_{p²}` multiply on raw Montgomery-form coefficients
+/// `[c0, c1]`: `(a0 + a1·i)(b0 + b1·i) = (a0·b0 − a1·b1) +
+/// ((a0+a1)(b0+b1) − a0·b0 − a1·b1)·i`, three products through the fused
+/// [`MontCtx::mul`]. The `Mul` operator and the pairing's Miller loop,
+/// which works on bare coefficients, both run on it.
+pub fn fp2_mul_raw<const L: usize>(
+    m: &MontCtx<L>,
+    a: &[Uint<L>; 2],
+    b: &[Uint<L>; 2],
+) -> [Uint<L>; 2] {
+    let v0 = m.mul(&a[0], &b[0]);
+    let v1 = m.mul(&a[1], &b[1]);
+    let s = m.mul(&m.add(&a[0], &a[1]), &m.add(&b[0], &b[1]));
+    [m.sub(&v0, &v1), m.sub(&m.sub(&s, &v0), &v1)]
+}
+
+/// Complex squaring on raw Montgomery-form coefficients:
+/// `(a0 + a1·i)² = (a0+a1)(a0−a1) + (2·a0·a1)·i`, two products through
+/// the fused [`MontCtx::mul`]. [`Fp2::square`] and the Miller loop both
+/// run on it.
+pub fn fp2_square_raw<const L: usize>(m: &MontCtx<L>, a: &[Uint<L>; 2]) -> [Uint<L>; 2] {
+    let t = m.mul(&a[0], &a[1]);
+    [m.mul(&m.add(&a[0], &a[1]), &m.sub(&a[0], &a[1])), m.add(&t, &t)]
 }
 
 /// Non-adjacent form of `exp`: little-endian digits in `{−1, 0, 1}` with
@@ -386,6 +349,15 @@ mod tests {
         assert_eq!(i.square(), &i * &i);
     }
 
+    /// The oracle for the Karatsuba multiply and the complex squaring:
+    /// the 4-product schoolbook form `(a0·b0 − a1·b1) + (a0·b1 + a1·b0)·i`
+    /// built from `Fp` operations, sharing no formula with either.
+    fn schoolbook(a: &Fp2<4>, b: &Fp2<4>) -> Fp2<4> {
+        let c0 = &(a.c0() * b.c0()) - &(a.c1() * b.c1());
+        let c1 = &(a.c0() * b.c1()) + &(a.c1() * b.c0());
+        Fp2::new(c0, c1).unwrap()
+    }
+
     #[test]
     fn mul_matches_schoolbook() {
         let f = f103();
@@ -393,12 +365,7 @@ mod tests {
         for _ in 0..50 {
             let a = Fp2::random(&f, &mut rng);
             let b = Fp2::random(&f, &mut rng);
-            let prod = &a * &b;
-            // Schoolbook
-            let c0 = &(a.c0() * b.c0()) - &(a.c1() * b.c1());
-            let c1 = &(a.c0() * b.c1()) + &(a.c1() * b.c0());
-            assert_eq!(prod.c0(), &c0);
-            assert_eq!(prod.c1(), &c1);
+            assert_eq!(&a * &b, schoolbook(&a, &b));
             assert_eq!(a.square(), &a * &a);
         }
     }
@@ -502,7 +469,7 @@ mod tests {
     }
 
     /// secp256k1's base field: a full-width 256-bit prime ≡ 3 (mod 4), so
-    /// the lazy-reduction bounds are exercised with no spare top bits.
+    /// the multiply's final correction runs with no spare top bits.
     fn f256() -> Arc<FieldCtx<4>> {
         let p = Uint::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
             .unwrap();
@@ -510,24 +477,24 @@ mod tests {
     }
 
     #[test]
-    fn lazy_mul_matches_reference() {
+    fn karatsuba_mul_matches_schoolbook() {
         for (seed, f) in [(31u64, f103()), (32, f256())] {
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..100 {
                 let a = Fp2::random(&f, &mut rng);
                 let b = Fp2::random(&f, &mut rng);
-                assert_eq!(&a * &b, a.mul_reference(&b));
+                assert_eq!(&a * &b, schoolbook(&a, &b));
             }
             // Degenerate coefficients.
             let zero = Fp2::zero(&f);
             let one = Fp2::one(&f);
             let a = Fp2::random(&f, &mut rng);
-            assert_eq!(&a * &zero, a.mul_reference(&zero));
-            assert_eq!(&a * &one, a.mul_reference(&one));
+            assert_eq!(&a * &zero, schoolbook(&a, &zero));
+            assert_eq!(&a * &one, schoolbook(&a, &one));
             // Maximal coefficients p−1 + (p−1)i.
             let top = Fp2::new(-&f.one(), -&f.one()).unwrap();
-            assert_eq!(&top * &top, top.mul_reference(&top));
-            assert_eq!(&a * &top, a.mul_reference(&top));
+            assert_eq!(&top * &top, schoolbook(&top, &top));
+            assert_eq!(&a * &top, schoolbook(&a, &top));
         }
     }
 
@@ -541,20 +508,6 @@ mod tests {
             let u = &z.conjugate() * &z.invert().unwrap();
             assert!(u.norm().is_one());
             return u;
-        }
-    }
-
-    #[test]
-    fn cyclotomic_square_matches_generic_on_norm1() {
-        for (seed, f) in [(41u64, f103()), (42, f256())] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            for _ in 0..50 {
-                let u = norm1(&f, &mut rng);
-                assert_eq!(u.cyclotomic_square(), u.square());
-                assert_eq!(u.cyclotomic_square(), u.square_reference());
-            }
-            let one = Fp2::one(&f);
-            assert_eq!(one.cyclotomic_square(), one.square());
         }
     }
 
@@ -578,17 +531,18 @@ mod tests {
     }
 
     #[test]
-    fn lazy_square_matches_reference() {
+    fn complex_square_matches_schoolbook() {
         for (seed, f) in [(33u64, f103()), (34, f256())] {
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..100 {
                 let a = Fp2::random(&f, &mut rng);
-                assert_eq!(a.square(), a.square_reference());
+                assert_eq!(a.square(), schoolbook(&a, &a));
                 assert_eq!(a.square(), &a * &a);
             }
             let top = Fp2::new(-&f.one(), -&f.one()).unwrap();
-            assert_eq!(top.square(), top.square_reference());
-            assert_eq!(Fp2::zero(&f).square(), Fp2::zero(&f).square_reference());
+            for edge in [top, Fp2::zero(&f), Fp2::one(&f)] {
+                assert_eq!(edge.square(), schoolbook(&edge, &edge));
+            }
         }
     }
 }

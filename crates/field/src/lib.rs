@@ -7,7 +7,10 @@
 //! * [`Fp`] — an element of `F_p`, carrying an [`std::sync::Arc`] to its
 //!   context so elements compose with plain operators,
 //! * [`Fp2`] — the quadratic extension `F_p[i]/(i² + 1)` for primes
-//!   `p ≡ 3 (mod 4)`, the target-field substrate of the Type-A pairing.
+//!   `p ≡ 3 (mod 4)`, the target-field substrate of the Type-A pairing,
+//! * [`fp2_mul_raw`] / [`fp2_square_raw`] — the `F_{p²}` multiply and
+//!   square on raw Montgomery coefficients, which [`Fp2`] and the
+//!   pairing's Miller loop share.
 //!
 //! # Example
 //!
@@ -34,4 +37,4 @@ mod fp2;
 pub use batch::batch_invert;
 pub use error::FieldError;
 pub use fp::{FieldCtx, Fp};
-pub use fp2::Fp2;
+pub use fp2::{fp2_mul_raw, fp2_square_raw, Fp2};

@@ -141,20 +141,28 @@ proptest! {
     }
 }
 
-// Kernel-equivalence suite: the lazy-reduction F_{p²} multiply/square
-// and the cyclotomic (norm-1) exponentiation ladder must agree with the
-// retained reference twins on every random input.
+/// The 4-product schoolbook `F_{p²}` product built from `Fp` operations:
+/// the oracle for the Karatsuba multiply and the complex squaring.
+fn schoolbook(a: &Fp2<4>, b: &Fp2<4>) -> Fp2<4> {
+    let c0 = &(a.c0() * b.c0()) - &(a.c1() * b.c1());
+    let c1 = &(a.c0() * b.c1()) + &(a.c1() * b.c0());
+    Fp2::new(c0, c1).unwrap()
+}
+
+// Kernel-equivalence suite: the Karatsuba F_{p²} multiply, the complex
+// squaring and the cyclotomic (norm-1) exponentiation ladder must agree
+// with independent formulations on every random input.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn fp2_lazy_kernels_match_reference(seed in any::<u64>()) {
+    fn fp2_kernels_match_schoolbook(seed in any::<u64>()) {
         let f = f_3mod4();
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Fp2::random(&f, &mut rng);
         let b = Fp2::random(&f, &mut rng);
-        prop_assert_eq!(&a * &b, a.mul_reference(&b));
-        prop_assert_eq!(a.square(), a.square_reference());
+        prop_assert_eq!(&a * &b, schoolbook(&a, &b));
+        prop_assert_eq!(a.square(), schoolbook(&a, &a));
         prop_assert_eq!(a.square(), &a * &a);
     }
 
@@ -169,7 +177,6 @@ proptest! {
             a = Fp2::random(&f, &mut rng);
         }
         let u = &a.conjugate() * &a.invert().unwrap();
-        prop_assert_eq!(u.cyclotomic_square(), u.square());
         let e = Uint::<4>::from_limbs(e);
         prop_assert_eq!(u.pow_norm1(&e), u.pow(&e));
         prop_assert!(u.pow_norm1(&Uint::<4>::ZERO).is_one());

@@ -268,41 +268,6 @@ impl G1 {
         acc
     }
 
-    /// Split-scalar multiplication: decomposes `s = s₀ + s₁·2^⌈b/2⌉` and
-    /// evaluates `[s₀]P + [s₁]([2^⌈b/2⌉]P)` with one windowed Straus
-    /// interleaving over a half-length doubling chain.
-    ///
-    /// This is the GLV evaluation shape without the GLV endomorphism: on
-    /// this Type-A curve `q ≡ 3 (mod 4)`, so the distortion map
-    /// `ψ(x, y) = (−x, i·y)` is not `F_q`-rational and no cheap
-    /// endomorphism exists to make the split point free. The split point
-    /// is instead computed with `⌈b/2⌉` pure doublings (no additions, no
-    /// table lookups), which keeps the total work competitive with
-    /// [`G1::mul_uint_window`] while exercising the multi-scalar path;
-    /// differential tests pin the two to identical results.
-    pub fn mul_uint_split<const E: usize>(&self, scalar: &Uint<E>) -> Self {
-        let bits = scalar.bit_len();
-        if bits == 0 || self.is_identity() {
-            return Self::identity();
-        }
-        // For short scalars the split buys nothing — one window suffices.
-        if bits <= 2 * (WINDOW + 1) {
-            return self.mul_uint_window(scalar);
-        }
-        let k = bits.div_ceil(2);
-        let s1 = scalar.shr(k);
-        let s0 = scalar.wrapping_sub(&s1.shl(k));
-        // [2^k]P by k straight doublings in Jacobian coordinates.
-        let (x, y) = self.coords().expect("non-identity");
-        let mut split = Jacobian::from_affine(x.clone(), y.clone());
-        for _ in 0..k {
-            split = split.double();
-        }
-        let split = split.to_g1();
-        crate::stats::record_split_scalar_mul();
-        straus_windowed(&[(self, &s0), (&split, &s1)])
-    }
-
     /// Scalar multiplication using the naive affine double-and-add;
     /// retained as the reference implementation the Jacobian path is
     /// tested against.

@@ -41,9 +41,9 @@ impl Gt {
     /// Exponentiation by a canonical integer.
     ///
     /// Pairing outputs live in the norm-1 subgroup of `F_{q²}^*`, where
-    /// squaring collapses to two `F_q` squarings and the signed-digit
-    /// (NAF) chain gets inversions for free by conjugation; that fast
-    /// path is taken whenever the element's norm checks out. Elements
+    /// the signed-digit (NAF) chain gets inversions for free by
+    /// conjugation; that fast path is taken whenever the element's norm
+    /// checks out. Elements
     /// decoded from untrusted bytes ([`Gt::from_bytes`] does not enforce
     /// subgroup membership) fall back to the generic square-and-multiply
     /// chain.

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use sp_bigint::{MontCtx, Uint};
-use sp_field::{FieldCtx, Fp, Fp2};
+use sp_field::{fp2_mul_raw, fp2_square_raw, FieldCtx, Fp, Fp2};
 
 use crate::curve::G1;
 use crate::error::PairingError;
@@ -23,50 +23,31 @@ type U = Uint<8>;
 /// drop an `Arc` (two atomic ops) per temporary, which at ~45 ns field
 /// multiplications is a double-digit share of the whole pairing — so the
 /// hot loop runs on bare `Uint`s against one borrowed [`MontCtx`] and
-/// converts to [`Fp2`] only at the boundary.
+/// converts to [`Fp2`] only at the boundary. The multiply and square are
+/// the same raw-coefficient formulas `Fp2` itself runs on.
 #[derive(Clone, Copy)]
-struct RawFp2 {
-    c0: U,
-    c1: U,
-}
+struct RawFp2([U; 2]);
 
 impl RawFp2 {
     fn one(m: &MontCtx<8>) -> Self {
-        Self { c0: *m.one(), c1: U::ZERO }
+        Self([*m.one(), U::ZERO])
     }
 
-    /// Karatsuba multiply in the lazy-reduction form (three wide
-    /// products, two Montgomery reductions) — the raw twin of
-    /// `&Fp2 * &Fp2`.
     fn mul(&self, m: &MontCtx<8>, rhs: &Self) -> Self {
-        let v0 = m.wide_mul(&self.c0, &rhs.c0);
-        let v1 = m.wide_mul(&self.c1, &rhs.c1);
-        let s = m.add(&self.c0, &self.c1);
-        let t = m.add(&rhs.c0, &rhs.c1);
-        let v2 = m.wide_mul(&s, &t);
-        let (lo, hi) = m.wide_sub(v0, &v1);
-        let c0 = m.montgomery_reduce(&lo, &hi);
-        let (lo, hi) = m.wide_sub(m.wide_sub(v2, &v0), &v1);
-        let c1 = m.montgomery_reduce(&lo, &hi);
-        Self { c0, c1 }
+        Self(fp2_mul_raw(m, &self.0, &rhs.0))
     }
 
-    /// Complex squaring `(c0+c1)(c0−c1) + (2·c0·c1)·i`: two fused CIOS
-    /// multiplies beat the wide-then-reduce route for squaring at
-    /// truncated limb counts.
     fn square(&self, m: &MontCtx<8>) -> Self {
-        let s = m.add(&self.c0, &self.c1);
-        let d = m.sub(&self.c0, &self.c1);
-        let t = m.mul(&self.c0, &self.c1);
-        Self { c0: m.mul(&s, &d), c1: m.add(&t, &t) }
+        Self(fp2_square_raw(m, &self.0))
     }
 
     fn conjugate(&self, m: &MontCtx<8>) -> Self {
-        Self { c0: self.c0, c1: m.neg(&self.c1) }
+        Self([self.0[0], m.neg(&self.0[1])])
     }
 
     fn into_fp2(self, ctx: &Arc<FieldCtx<8>>) -> Fp2<8> {
-        Fp2::new(Fp::from_mont_repr(ctx, self.c0), Fp::from_mont_repr(ctx, self.c1))
+        let [c0, c1] = self.0;
+        Fp2::new(Fp::from_mont_repr(ctx, c0), Fp::from_mont_repr(ctx, c1))
             .expect("base field is 3 mod 4")
     }
 }
@@ -139,7 +120,7 @@ impl LineCoeffs {
     /// Evaluates the line at `ψ(Q)`: two base-field multiplications and
     /// one addition, instead of the full coefficient derivation.
     fn eval(&self, m: &MontCtx<8>, xq: &U, yq: &U) -> RawFp2 {
-        RawFp2 { c0: m.add(&m.mul(&self.a, xq), &self.b), c1: m.mul(&self.c, yq) }
+        RawFp2([m.add(&m.mul(&self.a, xq), &self.b), m.mul(&self.c, yq)])
     }
 }
 
@@ -486,9 +467,8 @@ pub(crate) fn miller_loop(p: &G1, q: &G1, r: &Uint<4>) -> Fp2<8> {
 /// in `F_{q²}` with `q ≡ 3 (mod 4)`.
 ///
 /// After the first stage `u = conj(f)/f` satisfies `norm(u) = 1`, so the
-/// dominating `pow(h)` chain runs on cyclotomic squarings (two base-field
-/// squarings each) with a signed-digit exponent walk — conjugation is the
-/// free inversion the NAF digits need.
+/// dominating `pow(h)` chain runs a signed-digit exponent walk —
+/// conjugation is the free inversion the NAF digits need.
 ///
 /// # Errors
 ///

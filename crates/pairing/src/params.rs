@@ -632,33 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn split_scalar_mul_matches_window_mul() {
-        let p = pairing();
-        let mut rng = StdRng::seed_from_u64(63);
-        let before = crate::stats::snapshot();
-        for _ in 0..8 {
-            let point = p.random_g1(&mut rng);
-            let s = p.random_scalar(&mut rng).to_uint();
-            assert_eq!(point.mul_uint_split(&s), point.mul_uint_window(&s));
-        }
-        let after = crate::stats::snapshot();
-        assert!(after.split_scalar_mul >= before.split_scalar_mul + 8, "split path taken");
-        // Edge scalars, including ones below the split threshold.
-        let g = p.generator();
-        for k in [0u64, 1, 2, 3, 15, 16, 17, 255, 1 << 11, u64::MAX] {
-            let k = Uint::<4>::from_u64(k);
-            assert_eq!(g.mul_uint_split(&k), g.mul_uint_window(&k));
-        }
-        let r = *p.order();
-        assert!(g.mul_uint_split(&r).is_identity());
-        assert_eq!(g.mul_uint_split(&r.wrapping_sub(&Uint::ONE)), g.negate());
-        assert_eq!(g.mul_uint_split(&r.wrapping_add(&Uint::ONE)), *g);
-        // Wide (cofactor-sized) scalars.
-        assert_eq!(g.mul_uint_split(p.cofactor()), g.mul_uint_window(p.cofactor()));
-        assert!(G1::identity().mul_uint_split(&r).is_identity());
-    }
-
-    #[test]
     fn compressed_point_roundtrip() {
         let p = pairing();
         let mut rng = StdRng::seed_from_u64(49);

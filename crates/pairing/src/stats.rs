@@ -1,18 +1,17 @@
 //! Process-wide counters for the crypto fast paths.
 //!
-//! The second-wave kernels (cyclotomic final exponentiation, split-scalar
-//! Straus multiplication, the Miller line-evaluation cache) each have a
-//! slower generic twin they silently fall back to; these counters make the
-//! fast-path coverage observable. `sp-core` folds a snapshot into
-//! `ServiceMetrics` as the `crypto.cache` component, and the load/sim
-//! summaries print it, so a kernel that stops being exercised shows up in
-//! operational output rather than only in benchmarks.
+//! The second-wave fast paths (cyclotomic exponentiation, the Miller
+//! line-evaluation cache) each have a slower generic twin they silently
+//! fall back to; these counters make the fast-path coverage observable.
+//! `sp-core` folds a snapshot into `ServiceMetrics` as the `crypto.cache`
+//! component, and the load/sim summaries print it, so a kernel that stops
+//! being exercised shows up in operational output rather than only in
+//! benchmarks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static CYCLOTOMIC_POW: AtomicU64 = AtomicU64::new(0);
 static GENERIC_POW: AtomicU64 = AtomicU64::new(0);
-static SPLIT_SCALAR_MUL: AtomicU64 = AtomicU64::new(0);
 static LINE_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static LINE_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 static LINE_CACHE_INVALIDATIONS: AtomicU64 = AtomicU64::new(0);
@@ -25,9 +24,6 @@ pub struct CryptoStats {
     /// `Gt` exponentiations that fell back to the generic square chain
     /// (element was outside the norm-1 subgroup, e.g. decoded bytes).
     pub generic_pow: u64,
-    /// Variable-base scalar multiplications that went through the
-    /// half-width split + Straus interleaving path.
-    pub split_scalar_mul: u64,
     /// Miller line-evaluation cache hits (warm fixed-argument entry).
     pub line_cache_hits: u64,
     /// Line-evaluation cache misses (entry computed and stored).
@@ -53,7 +49,6 @@ pub fn snapshot() -> CryptoStats {
     CryptoStats {
         cyclotomic_pow: CYCLOTOMIC_POW.load(Ordering::Relaxed),
         generic_pow: GENERIC_POW.load(Ordering::Relaxed),
-        split_scalar_mul: SPLIT_SCALAR_MUL.load(Ordering::Relaxed),
         line_cache_hits: LINE_CACHE_HITS.load(Ordering::Relaxed),
         line_cache_misses: LINE_CACHE_MISSES.load(Ordering::Relaxed),
         line_cache_invalidations: LINE_CACHE_INVALIDATIONS.load(Ordering::Relaxed),
@@ -66,10 +61,6 @@ pub(crate) fn record_cyclotomic_pow() {
 
 pub(crate) fn record_generic_pow() {
     GENERIC_POW.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn record_split_scalar_mul() {
-    SPLIT_SCALAR_MUL.fetch_add(1, Ordering::Relaxed);
 }
 
 pub(crate) fn record_line_cache_hit() {
@@ -106,14 +97,12 @@ mod tests {
         let before = snapshot();
         record_cyclotomic_pow();
         record_generic_pow();
-        record_split_scalar_mul();
         record_line_cache_hit();
         record_line_cache_miss();
         record_line_cache_invalidation(3);
         let after = snapshot();
         assert!(after.cyclotomic_pow > before.cyclotomic_pow);
         assert!(after.generic_pow > before.generic_pow);
-        assert!(after.split_scalar_mul > before.split_scalar_mul);
         assert!(after.line_cache_hits > before.line_cache_hits);
         assert!(after.line_cache_misses > before.line_cache_misses);
         assert!(after.line_cache_invalidations >= before.line_cache_invalidations + 3);

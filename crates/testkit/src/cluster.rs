@@ -158,8 +158,9 @@ impl Deployment for C1Cluster {
 // Mid-trace rebalance.
 
 /// A 3-daemon cluster whose membership toggles between {0,1} and
-/// {0,1,2} in the middle of every trace. Only the admin client is told;
-/// the data-path client must relearn the ring from redirects.
+/// {0,1,2} in the middle of every trace, minus the trace key's owner
+/// when the toggle alone would not move that key. Only the admin client
+/// is told; the data-path client must relearn the ring from redirects.
 pub struct C1ClusterRebalance {
     nodes: Vec<Node>,
     client: ClusterClient,
@@ -216,9 +217,17 @@ impl Deployment for C1ClusterRebalance {
         run_routed(&self.c1, &self.client, sc, seed, &mut |id| {
             let members = if *expanded { 2 } else { 3 };
             *expanded = !*expanded;
-            let new_ring =
-                admin.ring().with_nodes(nodes[..members].iter().map(|n| n.daemon.addr()).collect());
-            admin.rebalance(new_ring, &[id.raw()])?;
+            let ring = admin.ring();
+            let mut next: Vec<_> = nodes[..members].iter().map(|n| n.daemon.addr()).collect();
+            // Whether the toggle moves a given key depends on the daemons'
+            // ephemeral ports. When it would leave this trace's key where
+            // it is, drop the key's owner instead, so every rebalance
+            // moves the key and the data-path client must be redirected.
+            let owner = ring.owner_of(id.raw());
+            if ring.with_nodes(next.clone()).owner_of(id.raw()) == owner {
+                next.retain(|&addr| Some(addr) != owner);
+            }
+            admin.rebalance(ring.with_nodes(next), &[id.raw()])?;
             Ok(())
         })
     }

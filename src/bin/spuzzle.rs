@@ -39,15 +39,18 @@
 //!                                            # WAL-replicating primary
 //! spuzzle load --cluster 127.0.0.1:7741,127.0.0.1:7743,127.0.0.1:7745 \
 //!         --threads 8 --requests 200         # routed cluster verify load
-//! spuzzle bench-net [--full] [--out BENCH_net.json]
-//!                                            # end-to-end serving-path sweep
-//! spuzzle bench-store [--full] [--out BENCH_store.json]
-//!                                            # WAL append/recovery sweep
 //! spuzzle sim --seed 42 --users 1000000      # deterministic OSN simulation:
 //!                                            # invariants checked per event,
 //!                                            # decision_log_hash=… printed
-//! spuzzle bench-sim [--full] [--out BENCH_sim.json]
-//!                                            # simulation scaling sweep
+//! ```
+//!
+//! The benchmark sweeps behind the committed `BENCH_*.json` reports
+//! (crypto, serving path, storage, simulation) and their validators run
+//! from one driver, the `sp-bench` crate's `figures` binary:
+//!
+//! ```text
+//! cargo run -p sp-bench --release --bin figures -- --bench-net-json [quick]
+//! cargo run -p sp-bench --release --bin figures -- --check-bench-net-json BENCH_net.json
 //! ```
 //!
 //! `--shards 1` on the daemons reproduces the single-lock baseline, so
@@ -92,18 +95,11 @@ fn main() -> ExitCode {
         Some("serve-sp") => cmd_serve(&args[1..], Role::Sp),
         Some("serve-dh") => cmd_serve(&args[1..], Role::Dh),
         Some("load") => cmd_load(&args[1..]),
-        Some("bench-crypto") => cmd_bench_crypto(&args[1..]),
-        Some("bench-net") => cmd_bench_net(&args[1..]),
-        Some("check-bench-net") => cmd_check_bench_net(&args[1..]),
-        Some("bench-store") => cmd_bench_store(&args[1..]),
-        Some("check-bench-store") => cmd_check_bench_store(&args[1..]),
         Some("sim") => cmd_sim(&args[1..]),
-        Some("bench-sim") => cmd_bench_sim(&args[1..]),
-        Some("check-bench-sim") => cmd_check_bench_sim(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             eprintln!(
                 "usage: spuzzle \
-                 <share|questions|solve|serve-sp|serve-dh|load|bench-crypto|bench-net|check-bench-net|bench-store|check-bench-store|sim|bench-sim|check-bench-sim> \
+                 <share|questions|solve|serve-sp|serve-dh|load|sim> \
                  [options]; see --help per command"
             );
             return ExitCode::from(2);
@@ -592,27 +588,6 @@ fn cmd_load(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `spuzzle bench-crypto [--full] [--out <file>]`: the slow-vs-fast
-/// crypto hot-path sweep (same measurement the `sp-bench` figures binary
-/// writes to `BENCH_crypto.json`), quick by default.
-fn cmd_bench_crypto(args: &[String]) -> Result<(), String> {
-    use sp_bench::crypto_bench;
-    let cfg = if args.iter().any(|a| a == "--full") {
-        crypto_bench::CryptoBenchConfig::default()
-    } else {
-        crypto_bench::CryptoBenchConfig::quick()
-    };
-    let report = crypto_bench::run(&cfg);
-    print!("{}", crypto_bench::render(&report));
-    if let Some(path) = flag_value(args, "--out") {
-        let json = crypto_bench::to_json(&report);
-        crypto_bench::validate_json(&json).map_err(|e| format!("emitted report invalid: {e}"))?;
-        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
-}
-
 /// One verify-load worker: publishes its own puzzle (so threads land on
 /// different store shards), precomputes a correct response, then submits
 /// `requests` frames of `batch` verifies each through `sp`.
@@ -831,72 +806,6 @@ fn run_cluster_verify_load(args: &[String], spec: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `spuzzle bench-net [--full] [--out <file>]`: the end-to-end RPC
-/// pipelining sweep (real daemon, real sockets, 1 ms delay link — the
-/// same measurement the `sp-bench` figures binary writes to
-/// `BENCH_net.json`), quick by default.
-fn cmd_bench_net(args: &[String]) -> Result<(), String> {
-    use sp_bench::net_bench;
-    let cfg = if args.iter().any(|a| a == "--full") {
-        net_bench::NetBenchConfig::default()
-    } else {
-        net_bench::NetBenchConfig::quick()
-    };
-    let report = net_bench::run(&cfg);
-    print!("{}", net_bench::render(&report));
-    if let Some(path) = flag_value(args, "--out") {
-        let json = net_bench::to_json(&report);
-        net_bench::validate_json(&json).map_err(|e| format!("emitted report invalid: {e}"))?;
-        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
-}
-
-/// `spuzzle check-bench-net [path]`: schema-validates an existing
-/// `BENCH_net.json`.
-fn cmd_check_bench_net(args: &[String]) -> Result<(), String> {
-    let path = args.first().map(String::as_str).unwrap_or("BENCH_net.json");
-    let doc = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    sp_bench::net_bench::validate_json(&doc)
-        .map_err(|e| format!("{path} is not a valid net bench report: {e}"))?;
-    println!("{path}: schema-valid net bench report");
-    Ok(())
-}
-
-/// `spuzzle bench-store [--full] [--out <file>]`: the durable-storage
-/// sweep (append throughput with/without group commit, recovery time vs.
-/// log size — the same measurement the `sp-bench` figures binary writes
-/// to `BENCH_store.json`), quick by default.
-fn cmd_bench_store(args: &[String]) -> Result<(), String> {
-    use sp_bench::store_bench;
-    let cfg = if args.iter().any(|a| a == "--full") {
-        store_bench::StoreBenchConfig::default()
-    } else {
-        store_bench::StoreBenchConfig::quick()
-    };
-    let report = store_bench::run(&cfg);
-    print!("{}", store_bench::render(&report));
-    if let Some(path) = flag_value(args, "--out") {
-        let json = store_bench::to_json(&report);
-        store_bench::validate_json(&json).map_err(|e| format!("emitted report invalid: {e}"))?;
-        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
-}
-
-/// `spuzzle check-bench-store [path]`: schema-validates an existing
-/// `BENCH_store.json`.
-fn cmd_check_bench_store(args: &[String]) -> Result<(), String> {
-    let path = args.first().map(String::as_str).unwrap_or("BENCH_store.json");
-    let doc = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    sp_bench::store_bench::validate_json(&doc)
-        .map_err(|e| format!("{path} is not a valid store bench report: {e}"))?;
-    println!("{path}: schema-valid store bench report");
-    Ok(())
-}
-
 /// `spuzzle sim --seed S --users N [--events E] [--ticks T] [--shards P]`:
 /// one deterministic simulation run through the real protocol stack.
 /// Every event is invariant-checked; a violation is a non-zero exit.
@@ -960,39 +869,6 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
         r.c2_cache_misses,
         r.c2_cache_hit_rate(),
     );
-    Ok(())
-}
-
-/// `spuzzle bench-sim [--full] [--out <file>]`: the simulation scaling
-/// sweep (the same measurement the `sp-bench` figures binary writes to
-/// `BENCH_sim.json`), quick by default. `--full` sweeps 10k/100k/1M
-/// users and takes minutes.
-fn cmd_bench_sim(args: &[String]) -> Result<(), String> {
-    use sp_bench::sim_bench;
-    let cfg = if args.iter().any(|a| a == "--full") {
-        sim_bench::SimBenchConfig::default()
-    } else {
-        sim_bench::SimBenchConfig::quick()
-    };
-    let report = sim_bench::run_sweep(&cfg);
-    print!("{}", sim_bench::render(&report));
-    if let Some(path) = flag_value(args, "--out") {
-        let json = sim_bench::to_json(&report);
-        sim_bench::validate_json(&json).map_err(|e| format!("emitted report invalid: {e}"))?;
-        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
-}
-
-/// `spuzzle check-bench-sim [path]`: schema-validates an existing
-/// `BENCH_sim.json`.
-fn cmd_check_bench_sim(args: &[String]) -> Result<(), String> {
-    let path = args.first().map(String::as_str).unwrap_or("BENCH_sim.json");
-    let doc = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    sp_bench::sim_bench::validate_json(&doc)
-        .map_err(|e| format!("{path} is not a valid sim bench report: {e}"))?;
-    println!("{path}: schema-valid sim bench report");
     Ok(())
 }
 
