@@ -2,10 +2,10 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use rand::Rng;
-use sp_pairing::{FixedBaseTable, Gt, LineCache, Pairing, Scalar, G1};
+use sp_pairing::{Gt, LineCache, Pairing, Scalar, G1};
 use sp_par::parallel_map;
 use sp_shamir::{Polynomial, ShamirScheme};
 use sp_wire::{Reader, Writer};
@@ -18,36 +18,12 @@ const GT_LEN: usize = 128;
 
 /// The CP-ABE public key: `(h = g^β, f = g^{1/β}, e(g,g)^α)`; the
 /// generator `g` itself is part of the shared pairing parameters.
-///
-/// Carries a lazily built fixed-base window table for `h` (the only
-/// public-key point exponentiated per `Encrypt`), shared across clones so
-/// repeated encryptions under one key pay the table cost once.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct PublicKey {
     h: G1,
     f: G1,
     e_gg_alpha: Gt,
-    h_table: Arc<OnceLock<FixedBaseTable>>,
 }
-
-impl PublicKey {
-    fn assemble(h: G1, f: G1, e_gg_alpha: Gt) -> Self {
-        Self { h, f, e_gg_alpha, h_table: Arc::new(OnceLock::new()) }
-    }
-
-    fn h_table(&self) -> &FixedBaseTable {
-        self.h_table.get_or_init(|| FixedBaseTable::new(&self.h, 64 * 4))
-    }
-}
-
-impl PartialEq for PublicKey {
-    fn eq(&self, other: &Self) -> bool {
-        // The window table is a cache of h, not part of the key's value.
-        self.h == other.h && self.f == other.f && self.e_gg_alpha == other.e_gg_alpha
-    }
-}
-
-impl Eq for PublicKey {}
 
 impl fmt::Debug for PublicKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -195,16 +171,15 @@ impl CpAbe {
 
     /// `Setup`: produces the public key and master secret.
     pub fn setup<R: Rng + ?Sized>(&self, rng: &mut R) -> (PublicKey, MasterKey) {
-        let g = self.pairing.generator();
         let alpha = self.pairing.random_nonzero_scalar(rng);
         let beta = self.pairing.random_nonzero_scalar(rng);
         let beta_inv = beta.invert().expect("nonzero");
         let h = self.pairing.mul_generator(&beta);
         let f = self.pairing.mul_generator(&beta_inv);
         let g_alpha = self.pairing.mul_generator(&alpha);
-        let e_gg_alpha =
-            self.pairing.pair(g, &g_alpha).expect("generator pairing is non-degenerate");
-        (PublicKey::assemble(h, f, e_gg_alpha), MasterKey { beta, g_alpha })
+        // e(g, g^α) = e(g, g)^α: one Gt exponentiation, not a pairing.
+        let e_gg_alpha = self.pairing.gt_generator().pow_scalar(&alpha);
+        (PublicKey { h, f, e_gg_alpha }, MasterKey { beta, g_alpha })
     }
 
     /// `Encrypt(PK, m, τ)`: encrypts the group element `m` under the
@@ -229,7 +204,7 @@ impl CpAbe {
         self.share_secret(tree.root(), &s, &mut leaf_shares, rng)?;
 
         let c_tilde = m.mul(&pk.e_gg_alpha.pow_scalar(&s));
-        let c = pk.h_table().mul(&s.to_uint());
+        let c = self.pairing.mul(&pk.h, &s);
         // Attribute hashes resolve through the memo cache (serial — cheap
         // on a hit); the per-leaf exponentiations then fan out.
         let jobs: Vec<(G1, Scalar)> = tree
@@ -725,7 +700,7 @@ impl CpAbe {
             .gt_from_bytes(r.bytes().map_err(|_| AbeError::BadEncoding)?)
             .map_err(|_| AbeError::BadEncoding)?;
         r.expect_end().map_err(|_| AbeError::BadEncoding)?;
-        Ok(PublicKey::assemble(h, f, e_gg_alpha))
+        Ok(PublicKey { h, f, e_gg_alpha })
     }
 
     /// Encodes the master key.
@@ -1084,6 +1059,20 @@ mod tests {
         assert!(abe.decode_public_key(&[1, 2, 3]).is_err());
         assert!(abe.decode_master_key(&[]).is_err());
         assert!(abe.decode_private_key(&[0]).is_err());
+    }
+
+    #[test]
+    fn setup_e_gg_alpha_is_the_pairing_of_g_and_g_alpha() {
+        for abe in [abe(), CpAbe::default_params()] {
+            let p = abe.pairing();
+            for seed in 96..99 {
+                let (pk, mk) = abe.setup(&mut StdRng::seed_from_u64(seed));
+                let alpha = p.random_nonzero_scalar(&mut StdRng::seed_from_u64(seed));
+                let g_alpha = p.mul(p.generator(), &alpha);
+                assert_eq!(mk.g_alpha, g_alpha);
+                assert_eq!(pk.e_gg_alpha, p.pair(p.generator(), &g_alpha).unwrap());
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! inversion, parallel map), recording ops/s for both and the speedup.
 //! `N` is the number of leaves/attributes, swept over the paper's
 //! context-size range; the access policy is N-of-N so decrypt touches
-//! every leaf (the worst case Figure 10 measures).
+//! every leaf (the worst case Figure 10 measures). The whole sweep runs
+//! [`CRYPTO_BENCH_REPEATS`] times and each cell reports the median,
+//! minimum and maximum of its repeats.
 
 use std::time::{Duration, Instant};
 
@@ -16,14 +18,22 @@ use rand::SeedableRng;
 use sp_abe::{encode_qa_attribute, AccessTree, CpAbe};
 use sp_pairing::{LineCache, Pairing};
 
+use crate::sim_bench::Spread;
+
 /// Schema tag written into (and required from) `BENCH_crypto.json`.
 ///
 /// v2 added the warm line-cache pairing (`pairing_cached`) and per-kernel
 /// micro rows to the v1 operation set. v3 keeps only the `gt_pow` micro
 /// row: the squaring, lazy `F_{p²}` multiply and split-scalar kernels the
 /// other three rows measured lost to (or tied with) their twins and are
-/// gone.
-pub const CRYPTO_BENCH_SCHEMA: &str = "sp-bench/crypto/v3";
+/// gone. v4 times every cell [`CRYPTO_BENCH_REPEATS`] times: each
+/// throughput becomes a `{median, min, max}` spread, `speedup` is the
+/// ratio of the medians, and the floors judge medians.
+pub const CRYPTO_BENCH_SCHEMA: &str = "sp-bench/crypto/v4";
+
+/// Full sweeps per report. One cell's single window moved by up to 2x
+/// between sweeps of one build, so a single timing says little.
+pub const CRYPTO_BENCH_REPEATS: usize = 3;
 
 /// The operations every report must cover.
 pub const CRYPTO_BENCH_OPS: [&str; 7] =
@@ -31,7 +41,7 @@ pub const CRYPTO_BENCH_OPS: [&str; 7] =
 
 /// Committed v1 full-sweep throughput at `N = 6` (the paper's central
 /// context size), measured before the second-wave kernels landed. The
-/// validator requires a committed full report to beat these by
+/// validator requires a committed full report's median to beat these by
 /// [`KERNEL_SPEEDUP_FLOOR`].
 pub const V1_PAIRING_FAST_N6: f64 = 413.019;
 /// See [`V1_PAIRING_FAST_N6`].
@@ -39,8 +49,8 @@ pub const V1_DECRYPT_FAST_N6: f64 = 141.188;
 /// Required improvement of the committed fast paths over the v1
 /// baselines above.
 pub const KERNEL_SPEEDUP_FLOOR: f64 = 1.5;
-/// Required warm-over-cold ratio for the `pairing_cached` row in a
-/// committed (non-quick) report.
+/// Required warm-over-cold ratio of the medians for the `pairing_cached`
+/// row in a committed (non-quick) report.
 pub const CACHE_SPEEDUP_FLOOR: f64 = 2.0;
 
 /// Sweep and sampling knobs for the crypto comparison.
@@ -76,7 +86,7 @@ impl CryptoBenchConfig {
     }
 }
 
-/// One (operation, N) measurement.
+/// One (operation, N) measurement over its repeats.
 #[derive(Clone, Debug)]
 pub struct CryptoBenchEntry {
     /// Operation name (one of [`CRYPTO_BENCH_OPS`]).
@@ -84,17 +94,17 @@ pub struct CryptoBenchEntry {
     /// Leaves/attributes (for `pairing`/`scalar_mul`: group-operation
     /// count per timed iteration).
     pub n: usize,
-    /// Pre-optimization throughput.
-    pub slow_ops_per_s: f64,
-    /// Optimized-path throughput.
-    pub fast_ops_per_s: f64,
+    /// Pre-optimization throughput, ops/s.
+    pub slow_ops_per_s: Spread,
+    /// Optimized-path throughput, ops/s.
+    pub fast_ops_per_s: Spread,
 }
 
 impl CryptoBenchEntry {
-    /// Fast-over-slow throughput ratio.
+    /// Fast-over-slow ratio of the median throughputs.
     pub fn speedup(&self) -> f64 {
-        if self.slow_ops_per_s > 0.0 {
-            self.fast_ops_per_s / self.slow_ops_per_s
+        if self.slow_ops_per_s.median > 0.0 {
+            self.fast_ops_per_s.median / self.slow_ops_per_s.median
         } else {
             0.0
         }
@@ -130,14 +140,34 @@ fn ops_per_s<T>(cfg: &CryptoBenchConfig, mut op: impl FnMut() -> T) -> f64 {
     iters as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Runs the full slow-vs-fast sweep.
+/// Runs the slow-vs-fast sweep [`CRYPTO_BENCH_REPEATS`] times and
+/// summarizes each cell's repeats.
 pub fn run(cfg: &CryptoBenchConfig) -> CryptoBenchReport {
+    let sweeps: Vec<Vec<Cell>> = (0..CRYPTO_BENCH_REPEATS).map(|_| sweep(cfg)).collect();
+    let entries = sweeps[0]
+        .iter()
+        .enumerate()
+        .map(|(i, &(op, n, _, _))| CryptoBenchEntry {
+            op,
+            n,
+            slow_ops_per_s: Spread::of_samples(sweeps.iter().map(|s| s[i].2).collect()),
+            fast_ops_per_s: Spread::of_samples(sweeps.iter().map(|s| s[i].3).collect()),
+        })
+        .collect();
+    CryptoBenchReport { quick: cfg.quick, entries }
+}
+
+/// One timed cell of a sweep: (op, N, slow ops/s, fast ops/s).
+type Cell = (&'static str, usize, f64, f64);
+
+/// One pass over every cell, from the same seed each time.
+fn sweep(cfg: &CryptoBenchConfig) -> Vec<Cell> {
     let abe = CpAbe::insecure_test_params();
     let pairing = Pairing::insecure_test_params();
     let mut rng = StdRng::seed_from_u64(2014);
     let (pk, mk) = abe.setup(&mut rng);
 
-    let mut entries = Vec::new();
+    let mut cells = Vec::new();
     for &n in &cfg.ns {
         let pairs: Vec<(String, String)> =
             (0..n).map(|i| (format!("q{i}"), format!("a{i}"))).collect();
@@ -154,12 +184,7 @@ pub fn run(cfg: &CryptoBenchConfig) -> CryptoBenchReport {
             let mut r = StdRng::seed_from_u64(77);
             abe.encrypt(&pk, &m, &tree, &mut r).expect("encrypt")
         });
-        entries.push(CryptoBenchEntry {
-            op: "encrypt",
-            n,
-            slow_ops_per_s: slow,
-            fast_ops_per_s: fast,
-        });
+        cells.push(("encrypt", n, slow, fast));
 
         let slow = ops_per_s(cfg, || {
             let mut r = StdRng::seed_from_u64(78);
@@ -169,23 +194,13 @@ pub fn run(cfg: &CryptoBenchConfig) -> CryptoBenchReport {
             let mut r = StdRng::seed_from_u64(78);
             abe.keygen(&mk, &attrs, &mut r)
         });
-        entries.push(CryptoBenchEntry {
-            op: "keygen",
-            n,
-            slow_ops_per_s: slow,
-            fast_ops_per_s: fast,
-        });
+        cells.push(("keygen", n, slow, fast));
 
         let ct = abe.encrypt(&pk, &m, &tree, &mut rng).expect("encrypt");
         let sk = abe.keygen(&mk, &attrs, &mut rng);
         let slow = ops_per_s(cfg, || abe.decrypt_reference(&ct, &sk).expect("decrypt"));
         let fast = ops_per_s(cfg, || abe.decrypt(&ct, &sk).expect("decrypt"));
-        entries.push(CryptoBenchEntry {
-            op: "decrypt",
-            n,
-            slow_ops_per_s: slow,
-            fast_ops_per_s: fast,
-        });
+        cells.push(("decrypt", n, slow, fast));
 
         // N independent pairings (the per-leaf cost decrypt used to pay)
         // vs one N-term product sharing squarings and the final
@@ -200,12 +215,7 @@ pub fn run(cfg: &CryptoBenchConfig) -> CryptoBenchReport {
                 points.iter().map(|(p, q)| (p, q)).collect();
             pairing.pair_product(&num, &[])
         });
-        entries.push(CryptoBenchEntry {
-            op: "pairing",
-            n,
-            slow_ops_per_s: slow,
-            fast_ops_per_s: fast,
-        });
+        cells.push(("pairing", n, slow, fast));
 
         // N fixed-base multiplications: textbook double-and-add on the
         // generator vs the cached window table.
@@ -216,12 +226,7 @@ pub fn run(cfg: &CryptoBenchConfig) -> CryptoBenchReport {
             ops_per_s(cfg, || scalars.iter().map(|s| g.mul_uint(&s.to_uint())).collect::<Vec<_>>());
         let fast =
             ops_per_s(cfg, || scalars.iter().map(|s| pairing.mul_generator(s)).collect::<Vec<_>>());
-        entries.push(CryptoBenchEntry {
-            op: "scalar_mul",
-            n,
-            slow_ops_per_s: slow,
-            fast_ops_per_s: fast,
-        });
+        cells.push(("scalar_mul", n, slow, fast));
     }
 
     // Cold Tate pairing vs the warm line-evaluation cache: the second
@@ -232,12 +237,7 @@ pub fn run(cfg: &CryptoBenchConfig) -> CryptoBenchReport {
     let slow = ops_per_s(cfg, || pairing.pair(&p, &q).expect("non-degenerate"));
     let cache = LineCache::new();
     let fast = ops_per_s(cfg, || pairing.pair_cached(&cache, b"bench", &p, &q).expect("pair"));
-    entries.push(CryptoBenchEntry {
-        op: "pairing_cached",
-        n: 1,
-        slow_ops_per_s: slow,
-        fast_ops_per_s: fast,
-    });
+    cells.push(("pairing_cached", 1, slow, fast));
 
     // Cyclotomic exponentiation (conjugation-as-inversion NAF walk on
     // norm-1 pairing values) vs the generic square-and-multiply twin.
@@ -245,14 +245,9 @@ pub fn run(cfg: &CryptoBenchConfig) -> CryptoBenchReport {
     let exp = pairing.random_nonzero_scalar(&mut rng).to_uint();
     let slow = ops_per_s(cfg, || e.pow_reference(&exp));
     let fast = ops_per_s(cfg, || e.pow(&exp));
-    entries.push(CryptoBenchEntry {
-        op: "gt_pow",
-        n: 1,
-        slow_ops_per_s: slow,
-        fast_ops_per_s: fast,
-    });
+    cells.push(("gt_pow", 1, slow, fast));
 
-    CryptoBenchReport { quick: cfg.quick, entries }
+    cells
 }
 
 /// Serializes a report to the `BENCH_crypto.json` document.
@@ -268,14 +263,23 @@ pub fn to_json(report: &CryptoBenchReport) -> String {
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{CRYPTO_BENCH_SCHEMA}\",\n"));
     out.push_str(&format!("  \"quick\": {},\n", report.quick));
+    out.push_str(&format!("  \"repeats\": {CRYPTO_BENCH_REPEATS},\n"));
     out.push_str("  \"entries\": [\n");
+    let spread = |s: &Spread| {
+        format!(
+            "{{\"median\": {}, \"min\": {}, \"max\": {}}}",
+            num(s.median),
+            num(s.min),
+            num(s.max)
+        )
+    };
     for (i, e) in report.entries.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"op\": \"{}\", \"n\": {}, \"slow_ops_per_s\": {}, \"fast_ops_per_s\": {}, \"speedup\": {}}}{}\n",
             e.op,
             e.n,
-            num(e.slow_ops_per_s),
-            num(e.fast_ops_per_s),
+            spread(&e.slow_ops_per_s),
+            spread(&e.fast_ops_per_s),
             num(e.speedup()),
             if i + 1 == report.entries.len() { "" } else { "," },
         ));
@@ -285,42 +289,47 @@ pub fn to_json(report: &CryptoBenchReport) -> String {
 }
 
 /// Renders the report as the human-readable table the `figures` binary
-/// prints alongside the JSON.
+/// prints alongside the JSON: median throughput with the min–max range
+/// of the repeats.
 pub fn render(report: &CryptoBenchReport) -> String {
     let mut out = String::new();
-    out.push_str("crypto hot paths: slow (reference) vs fast, ops/s\n");
     out.push_str(&format!(
-        "{:<12} {:>4} {:>14} {:>14} {:>9}\n",
+        "crypto hot paths: slow (reference) vs fast, ops/s, \
+         median [min–max] of {CRYPTO_BENCH_REPEATS} sweeps\n"
+    ));
+    out.push_str(&format!(
+        "{:<14} {:>4} {:>30} {:>30} {:>9}\n",
         "op", "N", "slow", "fast", "speedup"
     ));
+    let spread = |s: &Spread| format!("{:.1} [{:.1}–{:.1}]", s.median, s.min, s.max);
     for e in &report.entries {
         out.push_str(&format!(
-            "{:<12} {:>4} {:>14.1} {:>14.1} {:>8.2}x\n",
+            "{:<14} {:>4} {:>30} {:>30} {:>8.2}x\n",
             e.op,
             e.n,
-            e.slow_ops_per_s,
-            e.fast_ops_per_s,
+            spread(&e.slow_ops_per_s),
+            spread(&e.fast_ops_per_s),
             e.speedup()
         ));
     }
     out
 }
 
-/// Extracts one numeric field from the entry for `(op, n)`, relying on
-/// the fixed one-entry-per-line layout [`to_json`] emits.
-fn entry_field(doc: &str, op: &str, n: usize, field: &str) -> Option<f64> {
+/// Extracts the number that follows `key` in the entry for `(op, n)`,
+/// relying on the fixed one-entry-per-line layout [`to_json`] emits.
+fn entry_field(doc: &str, op: &str, n: usize, key: &str) -> Option<f64> {
     let line = doc.lines().find(|l| l.contains(&format!("\"op\": \"{op}\", \"n\": {n},")))?;
-    let tail = line.split(&format!("\"{field}\": ")).nth(1)?;
+    let tail = line.split(key).nth(1)?;
     let num: String =
         tail.chars().take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-').collect();
     num.parse().ok()
 }
 
 /// Validates a `BENCH_crypto.json` document: syntactically well-formed
-/// JSON, the v3 schema tag, and at least one entry per operation with
-/// all five fields present. A committed (non-quick) report must
-/// additionally clear the performance pins: the `pairing` and `decrypt`
-/// fast paths at `N = 6` beat the v1 baselines by
+/// JSON, the v4 schema tag, and at least one entry per operation with
+/// every field present. A committed (non-quick) report must additionally
+/// clear the performance pins on its medians: the `pairing` and
+/// `decrypt` fast paths at `N = 6` beat the v1 baselines by
 /// [`KERNEL_SPEEDUP_FLOOR`], and the warm `pairing_cached` path runs at
 /// least [`CACHE_SPEEDUP_FLOOR`]× the cold pairing. Quick reports skip
 /// the pins — their sampling windows are too short to pin throughput.
@@ -338,24 +347,32 @@ pub fn validate_json(doc: &str) -> Result<(), String> {
             return Err(format!("no entry for operation {op:?}"));
         }
     }
-    for field in ["\"n\":", "\"slow_ops_per_s\":", "\"fast_ops_per_s\":", "\"speedup\":"] {
+    for field in [
+        "\"repeats\":",
+        "\"n\":",
+        "\"slow_ops_per_s\": {\"median\":",
+        "\"fast_ops_per_s\": {\"median\":",
+        "\"min\":",
+        "\"max\":",
+        "\"speedup\":",
+    ] {
         if !doc.contains(field) {
             return Err(format!("entries are missing the {field} field"));
         }
     }
     if doc.contains("\"quick\": false") {
         for (op, baseline) in [("pairing", V1_PAIRING_FAST_N6), ("decrypt", V1_DECRYPT_FAST_N6)] {
-            let fast = entry_field(doc, op, 6, "fast_ops_per_s")
+            let fast = entry_field(doc, op, 6, "\"fast_ops_per_s\": {\"median\": ")
                 .ok_or_else(|| format!("full report lacks the {op:?} N=6 entry"))?;
             let floor = baseline * KERNEL_SPEEDUP_FLOOR;
             if fast < floor {
                 return Err(format!(
-                    "{op} fast path at N=6 is {fast:.1} ops/s, below the pinned \
+                    "{op} fast path at N=6 is {fast:.1} ops/s (median), below the pinned \
                      {KERNEL_SPEEDUP_FLOOR}x-over-v1 floor of {floor:.1}"
                 ));
             }
         }
-        let warm = entry_field(doc, "pairing_cached", 1, "speedup")
+        let warm = entry_field(doc, "pairing_cached", 1, "\"speedup\": ")
             .ok_or("full report lacks the pairing_cached entry")?;
         if warm < CACHE_SPEEDUP_FLOOR {
             return Err(format!(
@@ -385,7 +402,9 @@ mod tests {
         let report = run(&tiny());
         for op in CRYPTO_BENCH_OPS {
             let e = report.entries.iter().find(|e| e.op == op).expect("op measured");
-            assert!(e.slow_ops_per_s > 0.0 && e.fast_ops_per_s > 0.0);
+            for s in [e.slow_ops_per_s, e.fast_ops_per_s] {
+                assert!(0.0 < s.min && s.min <= s.median && s.median <= s.max, "{op}: {s:?}");
+            }
         }
         let json = to_json(&report);
         validate_json(&json).expect("emitted document validates");
@@ -399,8 +418,12 @@ mod tests {
         let report = run(&tiny());
         let json = to_json(&report);
         assert!(validate_json(&json[..json.len() - 4]).is_err(), "truncated");
-        assert!(validate_json(&json.replace("crypto/v3", "crypto/v9")).is_err(), "wrong schema");
-        assert!(validate_json(&json.replace("crypto/v3", "crypto/v2")).is_err(), "stale schema");
+        assert!(validate_json(&json.replace("crypto/v4", "crypto/v9")).is_err(), "wrong schema");
+        assert!(validate_json(&json.replace("crypto/v4", "crypto/v3")).is_err(), "stale schema");
+        assert!(
+            validate_json(&json.replace("{\"median\": ", "{\"mid\": ")).is_err(),
+            "single-sample cells"
+        );
         assert!(validate_json(&json.replace("\"decrypt\"", "\"dec\"")).is_err(), "missing op");
         assert!(
             validate_json(&json.replace("\"pairing_cached\"", "\"pc\"")).is_err(),
@@ -411,21 +434,26 @@ mod tests {
         assert!(validate_json("{} extra").is_err());
     }
 
+    /// Three identical repeats of `v`.
+    fn flat(v: f64) -> Spread {
+        Spread { median: v, min: v, max: v }
+    }
+
     /// A hand-built "full" document exercising the committed-report
     /// pins without paying for a real full sweep.
-    fn full_doc(pairing_fast: f64, decrypt_fast: f64, cache_speedup: f64) -> String {
+    fn full_doc(pairing_fast: Spread, decrypt_fast: Spread, cache_speedup: f64) -> String {
         let mut report = run(&tiny());
         report.quick = false;
         report.entries.push(CryptoBenchEntry {
             op: "pairing",
             n: 6,
-            slow_ops_per_s: 100.0,
+            slow_ops_per_s: flat(100.0),
             fast_ops_per_s: pairing_fast,
         });
         report.entries.push(CryptoBenchEntry {
             op: "decrypt",
             n: 6,
-            slow_ops_per_s: 50.0,
+            slow_ops_per_s: flat(50.0),
             fast_ops_per_s: decrypt_fast,
         });
         // Overwrite the measured pairing_cached row with a synthetic one
@@ -434,27 +462,28 @@ mod tests {
         report.entries.push(CryptoBenchEntry {
             op: "pairing_cached",
             n: 1,
-            slow_ops_per_s: 100.0,
-            fast_ops_per_s: 100.0 * cache_speedup,
+            slow_ops_per_s: flat(100.0),
+            fast_ops_per_s: flat(100.0 * cache_speedup),
         });
         to_json(&report)
     }
 
     #[test]
     fn validator_pins_full_reports_to_the_v1_baselines() {
-        let good =
-            full_doc(V1_PAIRING_FAST_N6 * 2.0, V1_DECRYPT_FAST_N6 * 2.0, CACHE_SPEEDUP_FLOOR + 1.0);
+        let pairing_ok = flat(V1_PAIRING_FAST_N6 * 2.0);
+        let decrypt_ok = flat(V1_DECRYPT_FAST_N6 * 2.0);
+        let good = full_doc(pairing_ok, decrypt_ok, CACHE_SPEEDUP_FLOOR + 1.0);
         validate_json(&good).expect("clears every pin");
 
         let slow_pairing =
-            full_doc(V1_PAIRING_FAST_N6 * 1.2, V1_DECRYPT_FAST_N6 * 2.0, CACHE_SPEEDUP_FLOOR + 1.0);
+            full_doc(flat(V1_PAIRING_FAST_N6 * 1.2), decrypt_ok, CACHE_SPEEDUP_FLOOR + 1.0);
         assert!(validate_json(&slow_pairing).unwrap_err().contains("pairing fast path"));
 
         let slow_decrypt =
-            full_doc(V1_PAIRING_FAST_N6 * 2.0, V1_DECRYPT_FAST_N6 * 1.2, CACHE_SPEEDUP_FLOOR + 1.0);
+            full_doc(pairing_ok, flat(V1_DECRYPT_FAST_N6 * 1.2), CACHE_SPEEDUP_FLOOR + 1.0);
         assert!(validate_json(&slow_decrypt).unwrap_err().contains("decrypt fast path"));
 
-        let cold_cache = full_doc(V1_PAIRING_FAST_N6 * 2.0, V1_DECRYPT_FAST_N6 * 2.0, 1.1);
+        let cold_cache = full_doc(pairing_ok, decrypt_ok, 1.1);
         assert!(validate_json(&cold_cache).unwrap_err().contains("pairing_cached speedup"));
 
         // Quick reports skip the pins entirely.
@@ -463,11 +492,35 @@ mod tests {
     }
 
     #[test]
-    fn speedup_is_fast_over_slow() {
-        let e =
-            CryptoBenchEntry { op: "encrypt", n: 2, slow_ops_per_s: 10.0, fast_ops_per_s: 30.0 };
+    fn validator_judges_the_floors_on_medians() {
+        let floor = V1_DECRYPT_FAST_N6 * KERNEL_SPEEDUP_FLOOR;
+        let pairing_ok = flat(V1_PAIRING_FAST_N6 * 2.0);
+        // One slow repeat below the floor does not fail a report...
+        let one_slow = Spread { median: floor * 1.1, min: floor * 0.5, max: floor * 1.2 };
+        validate_json(&full_doc(pairing_ok, one_slow, CACHE_SPEEDUP_FLOOR + 1.0))
+            .expect("the median clears the floor");
+        // ...and one fast repeat above it does not pass one.
+        let one_fast = Spread { median: floor * 0.9, min: floor * 0.8, max: floor * 2.0 };
+        let err =
+            validate_json(&full_doc(pairing_ok, one_fast, CACHE_SPEEDUP_FLOOR + 1.0)).unwrap_err();
+        assert!(err.contains("decrypt fast path") && err.contains("median"), "{err}");
+    }
+
+    #[test]
+    fn speedup_is_the_ratio_of_the_medians() {
+        let e = CryptoBenchEntry {
+            op: "encrypt",
+            n: 2,
+            slow_ops_per_s: Spread { median: 10.0, min: 1.0, max: 50.0 },
+            fast_ops_per_s: Spread { median: 30.0, min: 29.0, max: 31.0 },
+        };
         assert!((e.speedup() - 3.0).abs() < 1e-12);
-        let z = CryptoBenchEntry { op: "encrypt", n: 2, slow_ops_per_s: 0.0, fast_ops_per_s: 30.0 };
+        let z = CryptoBenchEntry {
+            op: "encrypt",
+            n: 2,
+            slow_ops_per_s: flat(0.0),
+            fast_ops_per_s: flat(30.0),
+        };
         assert_eq!(z.speedup(), 0.0);
     }
 }

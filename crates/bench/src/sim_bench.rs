@@ -47,8 +47,9 @@ impl SimBenchConfig {
     }
 }
 
-/// The median, minimum and maximum of one throughput column over the
-/// repeats of a population size.
+/// The median, minimum and maximum of one throughput column over
+/// repeated measurements: the repeats of a population size here, the
+/// sweeps of a cell in [`crate::crypto_bench`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Spread {
     /// Median over the repeats.
@@ -66,7 +67,15 @@ impl Spread {
     ///
     /// Panics if `runs` is empty.
     fn of(runs: &[SimReport], column: impl Fn(&SimReport) -> f64) -> Self {
-        let mut v: Vec<f64> = runs.iter().map(column).collect();
+        Self::of_samples(runs.iter().map(column).collect())
+    }
+
+    /// The spread of `samples`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty.
+    pub(crate) fn of_samples(mut v: Vec<f64>) -> Self {
         v.sort_by(f64::total_cmp);
         let mid = v.len() / 2;
         let median = if v.len() % 2 == 1 { v[mid] } else { (v[mid - 1] + v[mid]) / 2.0 };

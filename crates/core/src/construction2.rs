@@ -16,6 +16,7 @@
 //! [`Construction2::upload_prototype_degraded`] reproduces the degraded
 //! prototype behaviour for comparison.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -467,7 +468,13 @@ impl Construction2 {
     }
 
     /// Receiver `Access`: `Reconstruct` the tree from known answers, run
-    /// `KeyGen` with the real answer attributes, and `Decrypt`.
+    /// `KeyGen` with the real answer attributes that `Decrypt` reads, and
+    /// `Decrypt`.
+    ///
+    /// `Decrypt` reads the first `k` leaves, in leaf order, whose attribute
+    /// the key holds, so `KeyGen` keys only those; it then draws one
+    /// scalar per known answer it left out. `rng` therefore ends where a
+    /// `KeyGen` over every known answer would leave it.
     ///
     /// # Errors
     ///
@@ -520,8 +527,18 @@ impl Construction2 {
 
         let tree_hat = AccessTree::context_tree(details.k, &reconstructed_pairs)
             .map_err(SocialPuzzleError::Abe)?;
+        let held: HashSet<&str> = known_attrs.iter().map(String::as_str).collect();
+        let mut used: Vec<String> = Vec::with_capacity(details.k);
+        for leaf in tree_hat.leaves().into_iter().filter(|l| held.contains(l)).take(details.k) {
+            if !used.iter().any(|u| u == leaf) {
+                used.push(leaf.to_owned());
+            }
+        }
+        let sk = self.abe.keygen(&mk, &used, rng);
+        for _ in used.len()..known_attrs.len() {
+            self.abe.pairing().random_nonzero_scalar(rng);
+        }
         let ct_hat = ct.with_tree(tree_hat)?;
-        let sk = self.abe.keygen(&mk, &known_attrs, rng);
         Ok(hybrid::decrypt_cached(
             &self.abe,
             &self.line_cache,
@@ -553,7 +570,7 @@ fn perturbed_leaf_answer(leaves: &[String], index: usize) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, RngCore, SeedableRng};
 
     fn context() -> Context {
         Context::builder()
@@ -652,6 +669,76 @@ mod tests {
             mk_bytes: up.record.mk_bytes.clone(),
         };
         assert!(c2.access(&grant, &details, &answers, &up.ciphertext, &mut rng).is_err());
+    }
+
+    /// Runs `access` at threshold `k` with `answers`, bypassing the SP,
+    /// and returns its result plus whether the caller's RNG ended where a
+    /// `KeyGen` over every answer that reconstructs (in the order given,
+    /// duplicates included) would leave it.
+    fn access_with(
+        k: usize,
+        answers: &[(usize, &str)],
+    ) -> (Result<Vec<u8>, SocialPuzzleError>, bool) {
+        let c2 = c2();
+        let ctx = context();
+        let mut rng = StdRng::seed_from_u64(152);
+        let up = c2.upload(b"edge", &ctx, k, &mut rng).unwrap();
+        let details = up.record.public_details();
+        let grant = Access2Grant {
+            url: up.record.url().clone(),
+            pk_bytes: up.record.pk_bytes.clone(),
+            mk_bytes: up.record.mk_bytes.clone(),
+        };
+        let answers: Vec<(usize, String)> =
+            answers.iter().map(|(i, a)| (*i, a.to_string())).collect();
+        let reconstructed: Vec<String> = answers
+            .iter()
+            .filter_map(|(i, a)| {
+                let q = details.questions.get(*i)?;
+                (ctx.answer_for(q) == Some(a)).then(|| sp_abe::encode_qa_attribute(q, a))
+            })
+            .collect();
+        let mk = c2.abe().decode_master_key(&grant.mk_bytes).unwrap();
+        let mut full_keygen = rng.clone();
+        c2.abe().keygen(&mk, &reconstructed, &mut full_keygen);
+        let result = c2.access(&grant, &details, &answers, &up.ciphertext, &mut rng);
+        (result, rng.next_u64() == full_keygen.next_u64())
+    }
+
+    #[test]
+    fn access_decrypts_irregular_answer_lists_and_keeps_the_rng_stream() {
+        for (k, answers) in [
+            // Out of index order.
+            (2, &[(2, "corn"), (0, "lakeside cabin")][..]),
+            // A duplicated index.
+            (2, &[(1, "priya"), (1, "priya"), (2, "corn")]),
+            // A wrong answer (and an out-of-range index) mixed in.
+            (2, &[(0, "wrong"), (42, "ghost"), (1, "priya"), (2, "corn")]),
+            // More than k right answers.
+            (1, &[(0, "lakeside cabin"), (1, "priya"), (2, "corn")]),
+            (2, &[(2, "corn"), (1, "priya"), (0, "lakeside cabin")]),
+        ] {
+            let (result, same_stream) = access_with(k, answers);
+            assert_eq!(result.unwrap(), b"edge", "k = {k}, answers = {answers:?}");
+            assert!(same_stream, "RNG stream moved: k = {k}, answers = {answers:?}");
+        }
+    }
+
+    #[test]
+    fn access_below_threshold_is_policy_not_satisfied() {
+        for answers in [
+            &[(0, "lakeside cabin"), (1, "nope")][..],
+            // A repeated right answer counts once.
+            &[(0, "lakeside cabin"), (0, "lakeside cabin")],
+        ] {
+            let (result, same_stream) = access_with(2, answers);
+            assert_eq!(
+                result.unwrap_err(),
+                SocialPuzzleError::Abe(sp_abe::AbeError::PolicyNotSatisfied),
+                "answers = {answers:?}"
+            );
+            assert!(same_stream, "RNG stream moved: answers = {answers:?}");
+        }
     }
 
     #[test]

@@ -40,6 +40,8 @@ pub struct PairingParams {
     /// Lazily built fixed-base window table for the generator; every
     /// `[s]G` in Setup/Encrypt/KeyGen goes through it.
     gen_table: OnceLock<FixedBaseTable>,
+    /// Lazily computed `ê(G, G)`, the generator of `Gt`.
+    gt_gen: OnceLock<Gt>,
 }
 
 impl fmt::Debug for PairingParams {
@@ -90,6 +92,7 @@ impl Pairing {
             h,
             generator: G1::identity(),
             gen_table: OnceLock::new(),
+            gt_gen: OnceLock::new(),
         };
         params.generator = hash_to_g1_inner(&params, b"social-puzzles/type-a/generator/v1");
         assert!(!params.generator.is_identity());
@@ -339,8 +342,21 @@ impl Pairing {
         self.generator_table().mul(&s.to_uint())
     }
 
+    /// The table covers `r`'s width: every [`Scalar`] is below `r`.
     fn generator_table(&self) -> &FixedBaseTable {
-        self.params.gen_table.get_or_init(|| FixedBaseTable::new(&self.params.generator, 64 * 4))
+        self.params
+            .gen_table
+            .get_or_init(|| FixedBaseTable::new(&self.params.generator, self.params.r.bit_len()))
+    }
+
+    /// `ê(G, G)`, which generates `Gt`; computed once per parameter set.
+    /// By bilinearity `ê([a]G, [b]G)` is its `ab`-th power, so a power of
+    /// the generator costs one `Gt` exponentiation instead of a pairing.
+    pub fn gt_generator(&self) -> &Gt {
+        self.params.gt_gen.get_or_init(|| {
+            self.pair(&self.params.generator, &self.params.generator)
+                .expect("generator pairing is non-degenerate")
+        })
     }
 
     /// A uniformly random point of `G1`.
@@ -349,12 +365,9 @@ impl Pairing {
     }
 
     /// A uniformly random element of `Gt` (a random power of
-    /// `ê(G, G)`, which generates `Gt`).
+    /// [`Pairing::gt_generator`]).
     pub fn random_gt<R: Rng + ?Sized>(&self, rng: &mut R) -> Gt {
-        let base = self
-            .pair(self.generator(), self.generator())
-            .expect("generator pairing is non-degenerate");
-        base.pow(&self.random_scalar(rng).to_uint())
+        self.gt_generator().pow_scalar(&self.random_scalar(rng))
     }
 
     /// Decodes a `G1` point (see [`G1::from_bytes`]).
@@ -708,7 +721,8 @@ mod tests {
     fn fixed_base_table_matches_textbook_ladder() {
         let p = pairing();
         let g = p.generator();
-        let table = crate::curve::FixedBaseTable::new(g, 64 * 4);
+        // Sized like the generator's table: to r's width.
+        let table = crate::curve::FixedBaseTable::new(g, p.order().bit_len());
         let mut rng = StdRng::seed_from_u64(52);
         for _ in 0..8 {
             let s = p.random_scalar(&mut rng);
@@ -721,9 +735,24 @@ mod tests {
         let r = *p.order();
         assert!(table.mul(&r).is_identity());
         assert_eq!(table.mul(&r.wrapping_add(&Uint::ONE)), *g);
+        // Scalars wider than the table fall back to the windowed ladder.
+        assert_eq!(table.mul(&Uint::<4>::MAX), g.mul_uint(&Uint::<4>::MAX));
         // Identity base.
         let empty = crate::curve::FixedBaseTable::new(&G1::identity(), 64 * 4);
         assert!(empty.mul(&Uint::<4>::from_u64(7)).is_identity());
+    }
+
+    #[test]
+    fn random_gt_is_a_power_of_the_generator_pairing() {
+        for p in [pairing(), Pairing::default_params()] {
+            let g = p.generator();
+            let e_gg = p.pair(g, g).unwrap();
+            assert_eq!(*p.gt_generator(), e_gg);
+            for seed in 58..61 {
+                let x = p.random_scalar(&mut StdRng::seed_from_u64(seed));
+                assert_eq!(p.random_gt(&mut StdRng::seed_from_u64(seed)), e_gg.pow(&x.to_uint()));
+            }
+        }
     }
 
     #[test]
